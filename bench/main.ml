@@ -358,8 +358,6 @@ let scaling_report path =
   let n = Discretized.n_states d in
   let src = Array.make n (1. /. float_of_int n) in
   let dst = Array.make n 0. in
-  let fsrc = Batlife_numerics.Fvec.of_array src in
-  let fdst = Batlife_numerics.Fvec.create n in
   let reps = 400 in
   let per_op f =
     f ();
@@ -373,7 +371,7 @@ let scaling_report path =
         Nsparse.vecmat_acc ~src p ~scale:1. ~dst)
   in
   let gather_ns =
-    per_op (fun () -> Nsparse.matvec_rows pt fsrc ~dst:fdst ~lo:0 ~hi:n)
+    per_op (fun () -> Nsparse.matvec_rows pt src ~dst ~lo:0 ~hi:n)
   in
   Printf.printf
     "  step kernel (%d states, %d nnz): scatter %.0f ns, gather %.0f ns \

@@ -100,11 +100,11 @@ let n_states t = Grid.total_states t.grid
 
 let nnz t = Generator.nnz t.generator
 
-let absorbed_mass grid (v : Fvec.t) =
+let absorbed_mass grid (v : float array) =
   let block = Grid.absorbing_block_size grid in
   let acc = ref 0. in
   for idx = 0 to block - 1 do
-    acc := !acc +. Fvec.unsafe_get v idx
+    acc := !acc +. Array.unsafe_get v idx
   done;
   !acc
 
@@ -177,7 +177,7 @@ module Session = struct
      funcs-by-times result block, filled by the shared sweep. *)
   type reg = {
     reg_times : float array;
-    funcs : (Fvec.t -> float) array;
+    funcs : (float array -> float) array;
     mutable out : float array array;
     mutable filled : bool;
   }
@@ -190,7 +190,7 @@ module Session = struct
         (** Fox–Glynn windows keyed by [t]; the key pair [(q, t)] of
             the cache degenerates to [t] because [rate] is pinned for
             the session's lifetime. *)
-    mutable buffers : (Fvec.t * Fvec.t) option;
+    mutable buffers : (float array * float array) option;
     mutable kernel : Transient.kernel option;
         (** parallel stepping kernel (transposed uniformised matrix +
             row partition), built on the first sweep and reused — the
@@ -291,7 +291,7 @@ module Session = struct
     | Some b -> b
     | None ->
         let n = n_states s.d in
-        let b = (Fvec.create n, Fvec.create n) in
+        let b = (Array.make n 0., Array.make n 0.) in
         s.buffers <- Some b;
         b
 
@@ -395,10 +395,13 @@ module Session = struct
   (* --- functional builders ---------------------------------------- *)
 
   (* Under the adaptive kernel, indices outside the support window
-     read exactly 0., so bucket sums need no window awareness. *)
-  let sum_over indices (v : Fvec.t) =
+     read exactly 0., so bucket sums need no window awareness.  Every
+     index comes from [Grid.index], inside [\[0, n_states)]. *)
+  let sum_over (indices : int array) (v : float array) =
     let acc = ref 0. in
-    Array.iter (fun i -> acc := !acc +. Fvec.unsafe_get v i) indices;
+    for k = 0 to Array.length indices - 1 do
+      acc := !acc +. Array.unsafe_get v (Array.unsafe_get indices k)
+    done;
     !acc
 
   (* Partition the flat state space by available-charge level: bucket
@@ -483,10 +486,10 @@ module Session = struct
 
   let expected_available_charge s ~time =
     let coefficients = charge_coefficients s in
-    let func (v : Fvec.t) =
+    let func (v : float array) =
       let acc = ref 0. in
-      for i = 0 to Fvec.length v - 1 do
-        acc := !acc +. (coefficients.(i) *. Fvec.unsafe_get v i)
+      for i = 0 to Array.length v - 1 do
+        acc := !acc +. (coefficients.(i) *. Array.unsafe_get v i)
       done;
       !acc
     in

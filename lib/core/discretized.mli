@@ -144,12 +144,13 @@ module Session : sig
   val measure :
     session ->
     times:float array ->
-    measure:(Batlife_numerics.Fvec.t -> float) ->
+    measure:(float array -> float) ->
     float array pending
   (** Escape hatch: any user-supplied linear functional of the
       transient distribution, evaluated on [times].  The functional
-      reads the flat [Fvec] iterate; under the adaptive kernel,
-      entries outside the support window are exactly [0.]. *)
+      reads the sweep's iterate in place (it must not keep or modify
+      it); under the adaptive kernel, entries outside the support
+      window are exactly [0.]. *)
 
   (** {2 Execution} *)
 

@@ -133,7 +133,7 @@ let cdf_many ?accuracy d times =
       ~opts:(Solver_opts.make ?accuracy ())
       d.chain ~alpha:(full_alpha d)
       ~times:(Array.map (fun t -> Float.max t 0.) times)
-      ~measure:(fun pi -> Batlife_numerics.Fvec.get pi d.absorbing)
+      ~measure:(fun pi -> pi.(d.absorbing))
   in
   Array.mapi (fun i r -> if times.(i) < 0. then 0. else r) results
 

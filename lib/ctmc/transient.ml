@@ -267,7 +267,7 @@ let check_kernel ~where ~q ~opts g = function
 (* ------------------------------------------------------------------ *)
 (* Segmented working vectors.
 
-   A [buf] pairs a flat Fvec with its support: [segs] is a sorted
+   A [buf] pairs a [float array] with its support: [segs] is a sorted
    array of disjoint half-open index segments, and the invariant,
    maintained by every operation below, is that the vector is exactly
    [0.] outside them.  [blo, bhi) is the segments' hull, kept for the
@@ -279,7 +279,7 @@ let check_kernel ~where ~q ~opts g = function
    tiles holding a nonzero. *)
 
 type buf = {
-  v : Fvec.t;
+  v : float array;
   mutable blo : int;
   mutable bhi : int;
   mutable segs : (int * int) array;
@@ -294,6 +294,40 @@ let tile_width n = Int.max 8 (Int.min 64 (n / 1024))
 let seg_hull = function
   | [||] -> (0, 0)
   | segs -> (fst segs.(0), snd segs.(Array.length segs - 1))
+
+(* Per-element scans of the working vectors.  They live here, on
+   concretely typed [float array]s, so the loads compile to unboxed
+   primitives whatever the build's cross-module inlining; every range
+   is a segment hull inside [\[0, n)].  Sums and maxima run in
+   ascending index order, the fixed evaluation order the bitwise
+   guarantees of the sweeps rely on. *)
+let sum_range (v : float array) ~lo ~hi =
+  let acc = ref 0. in
+  for i = lo to hi - 1 do
+    acc := !acc +. Array.unsafe_get v i
+  done;
+  !acc
+
+let dist_inf_range (x : float array) (y : float array) ~lo ~hi =
+  let acc = ref 0. in
+  for i = lo to hi - 1 do
+    acc :=
+      Float.max !acc (Float.abs (Array.unsafe_get x i -. Array.unsafe_get y i))
+  done;
+  !acc
+
+(* The tightest [(lo, hi)] with every entry outside exactly [0.];
+   [(0, 0)] for an all-zero vector.  NaN counts as nonzero. *)
+let nonzero_extent (v : float array) =
+  let n = Array.length v in
+  let lo = ref 0 in
+  while !lo < n && Array.unsafe_get v !lo = 0. do incr lo done;
+  if !lo = n then (0, 0)
+  else begin
+    let hi = ref n in
+    while Array.unsafe_get v (!hi - 1) = 0. do decr hi done;
+    (!lo, !hi)
+  end
 
 (* Merge a lo-sorted segment array: overlapping or exactly adjacent
    segments coalesce, so the result is disjoint, sorted and minimal. *)
@@ -323,9 +357,9 @@ let merge_segs segs =
    iterate; because the pruner below never leaves an all-zero tile
    active, this reproduces the interrupted sweep's support exactly. *)
 let segs_of_nonzeros v =
-  let n = Fvec.length v in
+  let n = Array.length v in
   let tile = tile_width n in
-  let lo0, hi0 = Fvec.nonzero_extent v in
+  let lo0, hi0 = nonzero_extent v in
   let kept = ref [] in
   let t = ref (lo0 / tile * tile) in
   while !t < hi0 do
@@ -333,7 +367,7 @@ let segs_of_nonzeros v =
     let occupied = ref false in
     let i = ref (max !t lo0) in
     while (not !occupied) && !i < hi do
-      if Fvec.unsafe_get v !i <> 0. then occupied := true;
+      if Array.unsafe_get v !i <> 0. then occupied := true;
       incr i
     done;
     if !occupied then kept := (!t, hi) :: !kept;
@@ -390,12 +424,12 @@ let zero_stale dst ~active =
           incr j
         done;
         if !j >= na || fst active.(!j) >= ohi then begin
-          Fvec.fill_range dst.v ~lo:!pos ~hi:ohi 0.;
+          Array.fill dst.v !pos (ohi - !pos) 0.;
           pos := ohi
         end
         else begin
           let alo, ahi = active.(!j) in
-          if alo > !pos then Fvec.fill_range dst.v ~lo:!pos ~hi:alo 0.;
+          if alo > !pos then Array.fill dst.v !pos (alo - !pos) 0.;
           pos := min ohi ahi
         end
       done)
@@ -465,8 +499,8 @@ let step_window k ~src ~dst ~adaptive =
   Telemetry.add c_active_rows !rows;
   if Fi.enabled () then begin
     let at = if wlo < whi then wlo else 0 in
-    if Fi.fires fi_step_nan then Fvec.set dst.v at Float.nan;
-    if Fi.fires fi_step_overflow then Fvec.set dst.v at 1e30
+    if Fi.fires fi_step_nan then dst.v.(at) <- Float.nan;
+    if Fi.fires fi_step_overflow then dst.v.(at) <- 1e30
   end;
   (!touched, !rows)
 
@@ -481,7 +515,8 @@ let step_window k ~src ~dst ~adaptive =
    kernel.  NaN never satisfies the comparisons, so an injected NaN
    survives for the mass guard to catch. *)
 let prune_segments b ~tau ~cap ~skipped =
-  let n = Fvec.length b.v in
+  let v = b.v in
+  let n = Array.length v in
   let tile = tile_width n in
   let kept = ref [] in
   Array.iter
@@ -491,14 +526,14 @@ let prune_segments b ~tau ~cap ~skipped =
         let hi = min shi (((!t / tile) + 1) * tile) in
         let mx = ref 0. and sm = ref 0. in
         for i = !t to hi - 1 do
-          let ax = Float.abs (Fvec.unsafe_get b.v i) in
+          let ax = Float.abs (Array.unsafe_get v i) in
           if not (ax <= !mx) then mx := ax;
           sm := !sm +. ax
         done;
         if !mx <= tau && !skipped +. !sm <= cap then begin
           if !sm > 0. then begin
             skipped := !skipped +. !sm;
-            Fvec.fill_range b.v ~lo:!t ~hi 0.
+            Array.fill v !t (hi - !t) 0.
           end
         end
         else kept := (!t, hi) :: !kept;
@@ -557,7 +592,7 @@ let resolve_pruning ~opts ~n_max =
 let mass_tolerance = 1e-6
 
 let guard_iterate ~where ~mass0 ~step ~skipped b =
-  let mass = Fvec.sum_range b.v ~lo:b.blo ~hi:b.bhi +. skipped in
+  let mass = sum_range b.v ~lo:b.blo ~hi:b.bhi +. skipped in
   if not (Float.is_finite mass) then
     Diag.breakdown ~where
       "non-finite probability entries at uniformisation step %d" step;
@@ -578,7 +613,7 @@ let guard_iterate ~where ~mass0 ~step ~skipped b =
    results standing.  The audited quantities are returned and exposed
    in {!stats}. *)
 let verify_sweep ~where ~accuracy ~mass0 ~windows ~skipped ~budget_skip b =
-  let mass = Fvec.sum_range b.v ~lo:b.blo ~hi:b.bhi +. skipped in
+  let mass = sum_range b.v ~lo:b.blo ~hi:b.bhi +. skipped in
   if not (Float.is_finite mass) then
     Diag.breakdown ~where
       "a-posteriori check: final iterate has non-finite probability mass";
@@ -619,18 +654,19 @@ let checked_measure ~where measure ~step v =
 
 (* Working vectors of a sweep: reuse caller-provided buffers (the
    session fast path — no per-call allocation) or allocate a fresh
-   pair.  The first buffer is seeded with alpha either way; an
+   pair.  The first buffer is seeded with a copy of alpha either way —
+   never alpha itself, which the sweep would overwrite in place; an
    adaptive sweep starts from the tile-aligned support of alpha, a
    full-support one from [\[0, n)]. *)
 let sweep_buffers ~where ~n ~alpha ~adaptive buffers =
   let a, b =
     match buffers with
-    | None -> (Fvec.of_array alpha, Fvec.create n)
+    | None -> (Array.copy alpha, Array.make n 0.)
     | Some (a, b) ->
-        if Fvec.length a <> n || Fvec.length b <> n then
+        if Array.length a <> n || Array.length b <> n then
           invalid_arg (where ^ ": buffers have wrong length");
-        Fvec.blit_from_array ~src:alpha ~dst:a;
-        Fvec.fill b 0.;
+        Array.blit alpha 0 a 0 n;
+        Array.fill b 0 n 0.;
         (a, b)
   in
   let asegs = if adaptive then segs_of_nonzeros a else [| (0, n) |] in
@@ -670,7 +706,7 @@ let solve ?(opts = Solver_opts.default) g ~alpha ~t =
       scratch := t
     end;
     let w = Poisson.prob weights m in
-    if w > 0. then Fvec.axpy_array ~alpha:w ~x:(!current).v ~y:out
+    if w > 0. then Vector.axpy ~alpha:w ~x:(!current).v ~y:out
   done;
   (* NaN and mass drift both persist in the final power iterate (the
      weighted output is only accurate to the Poisson truncation, so it
@@ -770,7 +806,7 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
               invalid_arg (where ^ ": resume values have wrong length");
             Array.blit row 0 vals.(j) 0 (r.sp_step + 1))
           r.sp_values;
-        Fvec.blit_from_array ~src:r.sp_vector ~dst:(!current).v;
+        Array.blit r.sp_vector 0 (!current).v 0 n;
         (* The pruner zeroes everything it drops and never leaves an
            all-zero tile active, so the stored vector's occupied tiles
            ARE the live support of the interrupted sweep. *)
@@ -789,7 +825,7 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
     {
       sp_step = s;
       sp_converged = converged;
-      sp_vector = Fvec.to_array (!current).v;
+      sp_vector = Array.copy (!current).v;
       sp_values = Array.map (fun row -> Array.sub row 0 (s + 1)) vals;
       sp_skipped = !skipped;
     }
@@ -823,7 +859,7 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
     end;
     let ulo = min (!current).blo (!scratch).blo
     and uhi = max (!current).bhi (!scratch).bhi in
-    let drift = Fvec.dist_inf_range (!current).v (!scratch).v ~lo:ulo ~hi:uhi in
+    let drift = dist_inf_range (!current).v (!scratch).v ~lo:ulo ~hi:uhi in
     let t = !current in
     current := !scratch;
     scratch := t;
@@ -939,7 +975,7 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
       (fun idx w ->
         let weight = Poisson.prob w m in
         if weight > 0. then
-          Fvec.axpy_array ~alpha:weight ~x:(!current).v ~y:outs.(idx))
+          Vector.axpy ~alpha:weight ~x:(!current).v ~y:outs.(idx))
       windows
   done;
   Telemetry.observe_int h_iterations n_max;

@@ -24,9 +24,9 @@
     session layer via {!make_kernel}).  Each output entry is owned by
     exactly one domain and summed in a fixed order, so results are
     {b bitwise identical} for every job count; [jobs = 1] takes a
-    guaranteed sequential path.  The per-step vectors are flat float64
-    [Batlife_numerics.Fvec] buffers, matching the int32/float64
-    Bigarray CSR streams of [Batlife_numerics.Sparse].
+    guaranteed sequential path.  The per-step vectors are plain
+    [float array]s; the CSR streams of [Batlife_numerics.Sparse] they
+    are multiplied with are int32/float64 Bigarrays.
 
     {b Adaptive support} (on by default, see
     [Solver_opts.adaptive_support]).  The iterate of a battery
@@ -202,13 +202,13 @@ val solve :
 val multi_measure_sweep :
   ?opts:Solver_opts.t ->
   ?windows:Batlife_numerics.Poisson.t array ->
-  ?buffers:Batlife_numerics.Fvec.t * Batlife_numerics.Fvec.t ->
+  ?buffers:float array * float array ->
   ?kernel:kernel ->
   ?progress:sweep_progress Batlife_numerics.Progress.t ->
   Generator.t ->
   alpha:float array ->
   times:float array ->
-  measures:(Batlife_numerics.Fvec.t -> float) array ->
+  measures:(float array -> float) array ->
   float array array * stats
 (** [multi_measure_sweep g ~alpha ~times ~measures] evaluates
     [sum_n pois(q t; n) measures.(j)(alpha P^n)] for every measure
@@ -217,9 +217,10 @@ val multi_measure_sweep :
     [j] at [times.(i)], and the returned [stats] are shared by all of
     them.  Each measure must be a linear functional of the
     distribution (e.g. total mass on a set of states), reading the
-    flat [Fvec] iterate; under the adaptive kernel, entries outside
-    the support window are exactly [0.], so index-summing measures
-    need no window awareness.  When successive [v_n] differ by less
+    iterate; under the adaptive kernel, entries outside the support
+    window are exactly [0.], so index-summing measures need no window
+    awareness.  A measure must not keep or modify the array it is
+    given: the sweep overwrites it in place.  When successive [v_n] differ by less
     than [opts.convergence_tol] in L-infinity, the sweep stops early
     and the remaining steps are extrapolated as constant.
 
@@ -227,7 +228,9 @@ val multi_measure_sweep :
     entry of [times] (they must have been computed for the same [q]
     and [accuracy] — the session cache uses {!resolve_rate});
     [buffers] supplies the two length-[n] working vectors so repeated
-    sweeps are allocation-free apart from the result matrix; [kernel]
+    sweeps are allocation-free apart from the result matrix (the first
+    is seeded with a copy of [alpha]; [alpha] itself is never
+    written); [kernel]
     supplies a prebuilt stepping kernel (from {!make_kernel}) so
     repeated sweeps skip the per-call transpose.  Raises
     [Invalid_argument] if [windows]/[buffers] have the wrong length,
@@ -248,13 +251,13 @@ val multi_measure_sweep :
 val measure_sweep :
   ?opts:Solver_opts.t ->
   ?windows:Batlife_numerics.Poisson.t array ->
-  ?buffers:Batlife_numerics.Fvec.t * Batlife_numerics.Fvec.t ->
+  ?buffers:float array * float array ->
   ?kernel:kernel ->
   ?progress:sweep_progress Batlife_numerics.Progress.t ->
   Generator.t ->
   alpha:float array ->
   times:float array ->
-  measure:(Batlife_numerics.Fvec.t -> float) ->
+  measure:(float array -> float) ->
   float array * stats
 (** Single-functional convenience over {!multi_measure_sweep}. *)
 

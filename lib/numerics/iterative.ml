@@ -94,7 +94,7 @@ let gauss_seidel ?(tol = 1e-10) ?(max_iter = 100_000) ?x0
         let acc = ref b.(i) and diag = ref 0. in
         for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
           let j = Int32.to_int (Bigarray.Array1.get col_idx k) in
-          let v = Fvec.get values k in
+          let v = Bigarray.Array1.get values k in
           if j = i then diag := !diag +. v
           else acc := !acc -. (v *. x.(j))
         done;

@@ -61,12 +61,15 @@ end
 type index_array =
   (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type value_array =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   rows : int;
   cols : int;
   row_ptr : int array;
   col_idx : index_array;
-  values : Fvec.t;
+  values : value_array;
 }
 
 (* The CSR streams are flat Bigarray buffers: [values] float64,
@@ -88,7 +91,7 @@ let index_array_of ~len a =
   done;
   ia
 
-let fvec_of ~len a =
+let value_array_of ~len a =
   let v = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
   for k = 0 to len - 1 do
     Bigarray.Array1.unsafe_set v k (Array.unsafe_get a k)
@@ -159,7 +162,7 @@ let of_builder (b : Builder.t) =
     cols;
     row_ptr;
     col_idx = index_array_of ~len:!write col_tmp;
-    values = fvec_of ~len:!write val_tmp;
+    values = value_array_of ~len:!write val_tmp;
   }
 
 (* Dense rows are already in row-major order with ascending, duplicate
@@ -241,14 +244,15 @@ let get t i j =
    terms are summed in CSR order, so covering any subset of [0, rows)
    with disjoint ranges — in any order, on any domains — yields the
    same bits for every covered entry as one sequential pass.  This is
-   the parallel uniformisation kernel; src and dst are flat Bigarray
-   buffers so the inner loop streams unboxed float64 values and int32
-   column indices with no GC interaction. *)
-let matvec_rows t x ~dst ~lo ~hi =
+   the parallel uniformisation kernel.  Every load and store is a
+   primitive on concretely typed data (float64/int32 Bigarray streams,
+   [float array] src and dst), so the loop boxes nothing and allocates
+   no words whatever the build's inlining settings. *)
+let matvec_rows t (x : float array) ~(dst : float array) ~lo ~hi =
   if lo < 0 || hi > t.rows || lo > hi then
     invalid_arg "Sparse.matvec_rows: row range";
-  if Fvec.length x <> t.cols then invalid_arg "Sparse.matvec_rows: dimensions";
-  if Fvec.length dst <> t.rows then
+  if Array.length x <> t.cols then invalid_arg "Sparse.matvec_rows: dimensions";
+  if Array.length dst <> t.rows then
     invalid_arg "Sparse.matvec_rows: destination dimension";
   let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
   for i = lo to hi - 1 do
@@ -259,10 +263,10 @@ let matvec_rows t x ~dst ~lo ~hi =
       acc :=
         !acc
         +. Bigarray.Array1.unsafe_get values k
-           *. Fvec.unsafe_get x
+           *. Array.unsafe_get x
                 (Int32.to_int (Bigarray.Array1.unsafe_get col_idx k))
     done;
-    Fvec.unsafe_set dst i !acc
+    Array.unsafe_set dst i !acc
   done
 
 let matvec t x =

@@ -4,12 +4,12 @@
     millions of nonzeros (Sec. 6.1 quotes 3.2e6 for [Delta = 5]); the
     uniformisation sweep is a long sequence of vector-matrix products
     over this structure, so the representation is kept flat and
-    primitive: the value stream is a float64 {!Batlife_numerics.Fvec}
-    Bigarray and the column stream an int32 Bigarray — contiguous,
-    unboxed, GC-opaque memory the gather kernel can stream, at half
-    the index bytes of an [int array].  [row_ptr] stays a plain
-    [int array]: rows+1 entries, read once per row rather than once
-    per nonzero. *)
+    primitive: the value stream is a float64 Bigarray and the column
+    stream an int32 Bigarray — contiguous, unboxed, GC-opaque memory
+    the gather kernel can stream, at half the index bytes of an
+    [int array].  [row_ptr] stays a plain [int array]: rows+1 entries,
+    read once per row rather than once per nonzero.  Vectors are plain
+    [float array]s throughout. *)
 
 module Builder : sig
   (** Mutable triplet accumulator.  Duplicate entries are summed when
@@ -38,12 +38,15 @@ end
 type index_array =
   (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type value_array =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = private {
   rows : int;
   cols : int;
   row_ptr : int array;  (** length [rows + 1] *)
   col_idx : index_array;  (** int32 column stream, length [nnz] *)
-  values : Fvec.t;  (** float64 value stream, length [nnz] *)
+  values : value_array;  (** float64 value stream, length [nnz] *)
 }
 
 val of_builder : Builder.t -> t
@@ -67,7 +70,7 @@ val get : t -> int -> int -> float
 val matvec : t -> float array -> float array
 (** [matvec a x = A x]. *)
 
-val matvec_rows : t -> Fvec.t -> dst:Fvec.t -> lo:int -> hi:int -> unit
+val matvec_rows : t -> float array -> dst:float array -> lo:int -> hi:int -> unit
 (** [matvec_rows a x ~dst ~lo ~hi] writes [(A x).(i)] into [dst.(i)]
     for [i] in [\[lo, hi)] only, leaving the rest of [dst] untouched.
     The gather form of the product: each output entry is owned by one
@@ -76,10 +79,9 @@ val matvec_rows : t -> Fvec.t -> dst:Fvec.t -> lo:int -> hi:int -> unit
     produces results bitwise identical to a single pass over the same
     range.  This is the parallel uniformisation kernel; partition rows
     with {!nnz_balanced_partition} and dispatch with
-    [Pool.run_chunks].  Source and destination are flat
-    {!Batlife_numerics.Fvec} buffers, so the inner loop streams
-    unboxed float64 values and int32 indices.  Dimensions and the
-    range are checked once per call; the inner loop is unchecked. *)
+    [Pool.run_chunks].  The inner loop streams unboxed float64 values
+    and int32 indices and allocates nothing.  Dimensions and the range
+    are checked once per call; the inner loop is unchecked. *)
 
 val vecmat : float array -> t -> float array
 (** [vecmat x a = x^T A]. *)

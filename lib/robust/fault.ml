@@ -14,13 +14,12 @@ let corrupt_row_sum g ~row ~amount =
       "Fault.corrupt_row_sum: row has no stored entries (absorbing rows are \
        empty in CSR form)";
   let values = m.Batlife_numerics.Sparse.values in
-  Batlife_numerics.Fvec.set values start
-    (Batlife_numerics.Fvec.get values start +. amount)
+  Bigarray.Array1.set values start (Bigarray.Array1.get values start +. amount)
 
-let inject_nan v ~index =
-  if index < 0 || index >= Batlife_numerics.Fvec.length v then
+let inject_nan (v : Batlife_numerics.Sparse.value_array) ~index =
+  if index < 0 || index >= Bigarray.Array1.dim v then
     invalid_arg "Fault.inject_nan: index out of range";
-  Batlife_numerics.Fvec.set v index Float.nan
+  Bigarray.Array1.set v index Float.nan
 
 let transient ~failures f =
   if failures < 0 then invalid_arg "Fault.transient: negative count";

@@ -29,9 +29,9 @@ val corrupt_row_sum : Batlife_ctmc.Generator.t -> row:int -> amount:float -> uni
     stored entries (absorbing rows are empty in CSR form, so there is
     nothing to perturb). *)
 
-val inject_nan : Batlife_numerics.Fvec.t -> index:int -> unit
-(** Overwrite one entry (of a matrix's flat [values] stream, an
-    iterate buffer, ...) with NaN. *)
+val inject_nan : Batlife_numerics.Sparse.value_array -> index:int -> unit
+(** Overwrite one entry of a matrix's flat [values] stream with NaN.
+    Raises [Invalid_argument] if [index] is out of range. *)
 
 exception Injected of string
 (** The same exception as [Batlife_numerics.Fi.Injected] (rebound):
@@ -52,8 +52,7 @@ val transient : failures:int -> ('a -> 'b) -> 'a -> 'b
 val nan_measure_after : calls:int -> ('a -> float) -> 'a -> float
 (** [nan_measure_after ~calls m] behaves like [m] for the first
     [calls] invocations and returns NaN from then on — for driving the
-    NaN-measure guard of {!Batlife_ctmc.Transient.measure_sweep}
-    (whose measures read the flat [Fvec.t] iterate). *)
+    NaN-measure guard of {!Batlife_ctmc.Transient.measure_sweep}. *)
 
 val with_sites : (string * int * int) list -> (unit -> 'a) -> 'a
 (** [with_sites [(site, after, count); ...] f] resets the registry,

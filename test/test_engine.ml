@@ -234,7 +234,7 @@ let prop_multi_equals_singles =
       let times = Array.of_list times_list in
       let measures =
         Array.init k (fun j ->
-            fun (pi : Batlife_numerics.Fvec.t) -> Batlife_numerics.Fvec.get pi j)
+            fun (pi : float array) -> pi.(j))
       in
       let batched, _ = Transient.multi_measure_sweep g ~alpha ~times ~measures in
       Array.for_all Fun.id
@@ -254,7 +254,7 @@ let test_custom_measure_query () =
   let s = Discretized.Session.create d in
   let times = [| 3000.; 9000. |] in
   let total_q =
-    Discretized.Session.measure s ~times ~measure:Batlife_numerics.Fvec.sum
+    Discretized.Session.measure s ~times ~measure:Batlife_numerics.Vector.sum
   in
   let cdf_q = Discretized.Session.empty_probability s ~times:[| 9000. |] in
   let total = Discretized.Session.get total_q in

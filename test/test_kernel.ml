@@ -77,11 +77,11 @@ let test_adaptive_stats_and_work () =
   let times = [| 4000.; 12000. |] in
   let n = Discretized.n_states d in
   let adaptive, astats =
-    Transient.measure_sweep g ~alpha ~times ~measure:Fvec.sum
+    Transient.measure_sweep g ~alpha ~times ~measure:Vector.sum
   in
   let oracle, ostats =
     Transient.measure_sweep ~opts:(oracle_opts ()) g ~alpha ~times
-      ~measure:Fvec.sum
+      ~measure:Vector.sum
   in
   Array.iteri
     (fun i a ->
@@ -118,12 +118,14 @@ let test_outside_window_exact_zero () =
   let alpha = d.Discretized.alpha in
   let witness = ref true in
   let measure v =
-    let lo, hi = Fvec.nonzero_extent v in
-    let n = Fvec.length v in
-    (if Fvec.sum_range v ~lo:0 ~hi:lo <> 0.
-        || Fvec.sum_range v ~lo:hi ~hi:n <> 0.
+    let n = Array.length v in
+    let lo = ref 0 and hi = ref n in
+    while !lo < n && v.(!lo) = 0. do incr lo done;
+    while !hi > !lo && v.(!hi - 1) = 0. do decr hi done;
+    (if Vector.sum (Array.sub v 0 !lo) <> 0.
+        || Vector.sum (Array.sub v !hi (n - !hi)) <> 0.
      then witness := false);
-    Fvec.sum v
+    Vector.sum v
   in
   ignore (Transient.measure_sweep g ~alpha ~times:[| 8000. |] ~measure);
   check_true "iterate exactly zero outside its nonzero extent" !witness

@@ -92,11 +92,11 @@ let test_mass_guard_trips () =
   check_error "mass drift detected" is_breakdown (fun () ->
       ignore
         (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |]
-           ~measure:(fun v -> Fvec.get v 2)))
+           ~measure:(fun v -> v.(2))))
 
 let test_nan_measure_guard () =
   let g = three_state () in
-  let measure = Fault.nan_measure_after ~calls:5 (fun v -> Fvec.get v 2) in
+  let measure = Fault.nan_measure_after ~calls:5 (fun v -> v.(2)) in
   check_error "NaN measure detected" is_breakdown (fun () ->
       ignore (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |] ~measure))
 
@@ -108,7 +108,7 @@ let test_nan_in_generator () =
   check_error "non-finite iterate detected" is_breakdown (fun () ->
       ignore
         (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |]
-           ~measure:(fun v -> Fvec.get v 2)));
+           ~measure:(fun v -> v.(2))));
   (* A NaN diagonal is caught before the sweep would hang in the
      Poisson truncation. *)
   let g2 = three_state () in
@@ -125,7 +125,7 @@ let test_q_override_rejected () =
       ignore
         (Transient.measure_sweep ~opts:(with_q 0.5) g ~alpha:alpha3
            ~times:[| 1. |]
-           ~measure:(fun v -> Fvec.get v 2)));
+           ~measure:(fun v -> v.(2))));
   check_error "negative q rejected" is_invalid_model (fun () ->
       ignore (Transient.solve ~opts:(with_q (-1.)) g ~alpha:alpha3 ~t:1.));
   check_error "session create rejects low q" is_invalid_model (fun () ->

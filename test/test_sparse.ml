@@ -136,15 +136,39 @@ let test_matvec_rows_range () =
   let m =
     build_matrix [ (0, 0, 1.); (1, 0, 2.); (2, 1, 3.) ] ~rows:3 ~cols:2
   in
-  let dst = Fvec.of_array [| -1.; -1.; -1. |] in
-  Sparse.matvec_rows m (Fvec.of_array [| 10.; 100. |]) ~dst ~lo:1 ~hi:2;
-  check_float "outside range untouched (before)" (-1.) (Fvec.get dst 0);
-  check_float "inside range written" 20. (Fvec.get dst 1);
-  check_float "outside range untouched (after)" (-1.) (Fvec.get dst 2);
+  let dst = [| -1.; -1.; -1. |] in
+  Sparse.matvec_rows m [| 10.; 100. |] ~dst ~lo:1 ~hi:2;
+  check_float "outside range untouched (before)" (-1.) dst.(0);
+  check_float "inside range written" 20. dst.(1);
+  check_float "outside range untouched (after)" (-1.) dst.(2);
   check_raises_invalid "bad range" (fun () ->
-      Sparse.matvec_rows m (Fvec.of_array [| 1.; 1. |]) ~dst ~lo:0 ~hi:4);
+      Sparse.matvec_rows m [| 1.; 1. |] ~dst ~lo:0 ~hi:4);
   check_raises_invalid "wrong x length" (fun () ->
-      Sparse.matvec_rows m (Fvec.of_array [| 1. |]) ~dst ~lo:0 ~hi:3)
+      Sparse.matvec_rows m [| 1. |] ~dst ~lo:0 ~hi:3)
+
+(* The gather is the inner loop of every sweep.  Each load and store
+   must compile to an unboxed primitive, so a call allocates nothing:
+   a boxed load or store would cost words per nonzero.  The slack
+   covers the probe's own boxed float. *)
+let test_matvec_rows_allocates_nothing () =
+  let n = 320 in
+  let m =
+    build_matrix
+      (List.concat
+         (List.init n (fun i ->
+              [ (i, i, -2.); (i, (i + 1) mod n, 1.5); (i, (i + 7) mod n, 0.5) ])))
+      ~rows:n ~cols:n
+  in
+  let src = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
+  let dst = Array.make n 0. in
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Sparse.matvec_rows m src ~dst ~lo:0 ~hi:n
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 8. then
+    Alcotest.failf "%d matvec_rows calls allocated %.0f minor words" calls words
 
 (* Every partition must tile [0, rows) exactly, whatever the shape. *)
 let prop_partition_tiles =
@@ -175,6 +199,7 @@ let suite =
     case "dense roundtrip" test_dense_roundtrip;
     case "max abs diagonal" test_max_abs_diagonal;
     case "matvec_rows range" test_matvec_rows_range;
+    case "matvec_rows allocates no minor words" test_matvec_rows_allocates_nothing;
     prop_matvec_matches_dense;
     prop_vecmat_matches_dense;
     prop_transpose_involution;

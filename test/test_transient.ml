@@ -59,7 +59,7 @@ let test_measure_sweep_matches_solve () =
   in
   let alpha = [| 1.; 0.; 0. |] in
   let times = [| 0.3; 1.; 2.5; 7. |] in
-  let measure pi = Fvec.get pi 2 in
+  let measure pi = pi.(2) in
   let results, stats = Transient.measure_sweep g ~alpha ~times ~measure in
   check_true "iterations positive" (stats.Transient.iterations > 0);
   Array.iteri
@@ -73,7 +73,7 @@ let test_measure_sweep_unsorted_times () =
   let alpha = [| 1.; 0. |] in
   let results, _ =
     Transient.measure_sweep g ~alpha ~times:[| 5.; 0.5 |]
-      ~measure:(fun pi -> Fvec.get pi 1)
+      ~measure:(fun pi -> pi.(1))
   in
   check_true "monotone measure" (results.(0) > results.(1))
 
@@ -84,7 +84,7 @@ let test_convergence_detection () =
   let alpha = [| 1.; 0. |] in
   let _, stats =
     Transient.measure_sweep g ~alpha ~times:[| 1000. |]
-      ~measure:(fun pi -> Fvec.get pi 1)
+      ~measure:(fun pi -> pi.(1))
   in
   match stats.Transient.converged_at with
   | Some at -> check_true "stopped early" (at < 2000)
@@ -108,7 +108,7 @@ let test_absorbing_mass_monotone () =
   let alpha = [| 1.; 0.; 0. |] in
   let times = Array.init 20 (fun i -> 0.25 *. float_of_int (i + 1)) in
   let results, _ =
-    Transient.measure_sweep g ~alpha ~times ~measure:(fun pi -> Fvec.get pi 2)
+    Transient.measure_sweep g ~alpha ~times ~measure:(fun pi -> pi.(2))
   in
   for i = 1 to Array.length results - 1 do
     check_true "monotone" (results.(i) >= results.(i - 1) -. 1e-12)
@@ -131,13 +131,13 @@ let test_times_validation () =
       ignore
         (Transient.measure_sweep g ~alpha
            ~times:[| 1.; Float.nan |]
-           ~measure:(fun pi -> Fvec.get pi 1)));
+           ~measure:(fun pi -> pi.(1))));
   check_raises_diag "negative time in multi_measure_sweep" is_invalid_model
     (fun () ->
       ignore
         (Transient.multi_measure_sweep g ~alpha
            ~times:[| 1.; -2. |]
-           ~measures:[| (fun pi -> Fvec.get pi 1) |]));
+           ~measures:[| (fun pi -> pi.(1)) |]));
   check_raises_diag "infinite time in distribution_sweep" is_invalid_model
     (fun () ->
       ignore
@@ -147,7 +147,7 @@ let test_times_validation () =
   (match
      Transient.measure_sweep g ~alpha
        ~times:[| -1.; Float.nan; 2. |]
-       ~measure:(fun pi -> Fvec.get pi 1)
+       ~measure:(fun pi -> pi.(1))
    with
   | exception Diag.Error (Diag.Invalid_model { violations; _ }) ->
       check_int "both violations collected" 2 (List.length violations)
@@ -167,7 +167,7 @@ let test_multi_measure_matches_single () =
   let alpha = [| 1.; 0.; 0. |] in
   let times = [| 0.3; 1.; 2.5; 7. |] in
   let measures =
-    [| (fun pi -> Fvec.get pi 0); (fun pi -> Fvec.get pi 2); (fun pi -> Fvec.get pi 0 +. Fvec.get pi 1) |]
+    [| (fun pi -> pi.(0)); (fun pi -> pi.(2)); (fun pi -> pi.(0) +. pi.(1)) |]
   in
   let batched, stats = Transient.multi_measure_sweep g ~alpha ~times ~measures in
   check_true "iterations positive" (stats.Transient.iterations > 0);
@@ -187,7 +187,7 @@ let test_multi_measure_counts_one_sweep () =
   let g = Generator.of_rates ~n:2 [ (0, 1, 1.); (1, 0, 0.5) ] in
   let alpha = [| 1.; 0. |] in
   let times = [| 0.5; 1.; 2. |] in
-  let measures = [| (fun pi -> Fvec.get pi 0); (fun pi -> Fvec.get pi 1) |] in
+  let measures = [| (fun pi -> pi.(0)); (fun pi -> pi.(1)) |] in
   let c_sweeps = Telemetry.counter "transient.sweeps"
   and c_products = Telemetry.counter "transient.products" in
   Telemetry.reset_counter c_sweeps;
@@ -201,7 +201,7 @@ let test_supplied_buffers_and_windows () =
   let g = Generator.of_rates ~n:3 [ (0, 1, 1.); (1, 2, 0.5) ] in
   let alpha = [| 1.; 0.; 0. |] in
   let times = [| 0.7; 3. |] in
-  let measure pi = Fvec.get pi 2 in
+  let measure pi = pi.(2) in
   let plain, _ = Transient.measure_sweep g ~alpha ~times ~measure in
   let q = Transient.resolve_rate g in
   let windows =
@@ -212,7 +212,7 @@ let test_supplied_buffers_and_windows () =
           (q *. t))
       times
   in
-  let buffers = (Fvec.create 3, Fvec.create 3) in
+  let buffers = (Array.make 3 0., Array.make 3 0.) in
   let reused, _ =
     Transient.measure_sweep ~windows ~buffers g ~alpha ~times ~measure
   in
@@ -228,7 +228,7 @@ let test_supplied_buffers_and_windows () =
   check_raises_invalid "buffer length mismatch" (fun () ->
       ignore
         (Transient.measure_sweep
-           ~buffers:(Fvec.create 2, Fvec.create 3)
+           ~buffers:(Array.make 2 0., Array.make 3 0.)
            g ~alpha ~times ~measure))
 
 let suite =
