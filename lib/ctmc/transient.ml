@@ -676,46 +676,6 @@ let sweep_buffers ~where ~n ~alpha ~adaptive buffers =
   ( { v = a; blo = alo; bhi = ahi; segs = asegs },
     { v = b; blo; bhi; segs = bsegs } )
 
-let solve ?(opts = Solver_opts.default) g ~alpha ~t =
-  check_alpha g alpha;
-  let where = "Transient.solve" in
-  check_times ~where [| t |];
-  Solver_opts.request_telemetry opts;
-  Telemetry.incr c_sweeps;
-  Telemetry.with_span "transient.solve" @@ fun () ->
-  let n = Generator.n_states g in
-  let q = resolve_q where ?q:opts.Solver_opts.unif_rate g in
-  let budget = Solver_opts.resolve_budget opts in
-  Budget.note_sweep budget;
-  Budget.check ~what:where budget;
-  let weights = Poisson.weights ~accuracy:opts.Solver_opts.accuracy (q *. t) in
-  let kernel = kernel_for g ~q ~jobs:(Solver_opts.resolve_jobs opts) in
-  (* The caller gets the full distribution, so this path keeps the
-     exact full-support kernel; the adaptive window serves the batched
-     measure engine, whose outputs are scalars. *)
-  let v, v' = sweep_buffers ~where ~n ~alpha ~adaptive:false None in
-  let out = Vector.create n in
-  let current = ref v and scratch = ref v' in
-  for m = 0 to weights.Poisson.right do
-    if m > 0 then begin
-      Budget.note_product budget;
-      Budget.check ~what:where budget;
-      ignore (step_window kernel ~src:!current ~dst:!scratch ~adaptive:false);
-      let t = !current in
-      current := !scratch;
-      scratch := t
-    end;
-    let w = Poisson.prob weights m in
-    if w > 0. then Vector.axpy ~alpha:w ~x:(!current).v ~y:out
-  done;
-  (* NaN and mass drift both persist in the final power iterate (the
-     weighted output is only accurate to the Poisson truncation, so it
-     is not the thing to check). *)
-  guard_iterate ~where ~mass0:(Vector.sum alpha) ~step:weights.Poisson.right
-    ~skipped:0. !current;
-  Telemetry.observe_int h_iterations weights.Poisson.right;
-  out
-
 let check_windows ~where ~times = function
   | None -> None
   | Some windows ->
@@ -953,7 +913,7 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
   let mass0 = Vector.sum alpha in
   let outs = Array.map (fun _ -> Vector.create n) times in
   (* Full per-time distributions are the deliverable here, so the
-     exact full-support kernel is kept (as in {!solve}). *)
+     exact full-support kernel is kept. *)
   let v, v' = sweep_buffers ~where ~n ~alpha ~adaptive:false None in
   let current = ref v and scratch = ref v' in
   let total_touched = ref 0 and total_rows = ref 0 in
@@ -996,6 +956,13 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
       support_hi = n;
       skipped_mass = 0.;
     } )
+
+(* One time point is one row of the distribution sweep: the same
+   products and output bits, with its per-step mass guard and its
+   a-posteriori check. *)
+let solve ?opts g ~alpha ~t =
+  let outs, _ = distribution_sweep ?opts g ~alpha ~times:[| t |] in
+  outs.(0)
 
 let expected_hitting_mass ?opts g ~alpha ~states ~t =
   let pi = solve ?opts g ~alpha ~t in

@@ -196,8 +196,10 @@ val solve :
   t:float ->
   float array
 (** [solve g ~alpha ~t] is the state distribution at time [t] given
-    the initial distribution [alpha].  Always uses the exact
-    full-support kernel (the deliverable is the whole vector). *)
+    the initial distribution [alpha]: the single row of
+    [distribution_sweep ~times:\[|t|\]], with its guards, checks and
+    errors.  Always uses the exact full-support kernel (the
+    deliverable is the whole vector). *)
 
 val multi_measure_sweep :
   ?opts:Solver_opts.t ->
