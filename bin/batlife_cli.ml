@@ -1116,12 +1116,6 @@ let report_diagnostics () =
     (Batlife_numerics.Diag.events ())
 
 let () =
-  (* BATLIFE_DEBUG=1 enables debug logging of the numerical engines
-     (generator sizes, sweep iteration counts). *)
-  if Sys.getenv_opt "BATLIFE_DEBUG" <> None then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
   let doc = "battery lifetime distributions (Cloth et al., DSN 2007)" in
   (* The structured-error exit codes, documented once for the whole
      group; the README and DESIGN tables mirror this list and a cram

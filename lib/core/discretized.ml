@@ -3,11 +3,6 @@ open Batlife_ctmc
 open Batlife_battery
 open Batlife_workload
 
-let log_src =
-  Logs.Src.create "batlife.discretized" ~doc:"Expanded-generator construction"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type t = {
   model : Kibamrm.t;
   grid : Grid.t;
@@ -74,9 +69,6 @@ let build ?initial_fill ?(absorb_empty = true) ~delta model =
     done
   done;
   let generator = Generator.of_builder b in
-  Log.debug (fun m ->
-      m "built Q*: delta=%g, %d x %d levels, %d states, %d nonzeros" delta
-        levels1 levels2 total (Generator.nnz generator));
   Telemetry.set_gauge g_states (float_of_int total);
   Telemetry.set_gauge g_nnz (float_of_int (Generator.nnz generator));
   (* Initial distribution: the workload's alpha placed at the levels
@@ -146,18 +138,7 @@ let expected_lifetime ?(opts = Solver_opts.default) t =
     Iterative.solve_robust ~tol (Generator.matrix g) ~b
       ~skip:(fun i -> i < block)
   in
-  let result = robust.Iterative.result in
-  (match robust.Iterative.path with
-  | Iterative.Primary -> ()
-  | Iterative.Fallback ->
-      Log.warn (fun m ->
-          m "expected lifetime: gauss-seidel stalled, %s fallback converged"
-            robust.Iterative.solver));
-  Log.debug (fun m ->
-      m "expected lifetime: %s converged in %d sweeps (res %g)"
-        robust.Iterative.solver result.Iterative.iterations
-        result.Iterative.residual);
-  Vector.dot t.alpha result.Iterative.solution
+  Vector.dot t.alpha robust.Iterative.result.Iterative.solution
 
 (* ------------------------------------------------------------------ *)
 (* The batched evaluation engine.                                      *)
@@ -370,11 +351,6 @@ module Session = struct
           regs;
         s.last_stats <- Some stats;
         s.swept <- s.swept + 1;
-        Log.debug (fun m ->
-            m "session sweep %d: %d registrations, %d functionals, %d times, \
-               %d iterations"
-              s.swept (List.length regs) (Array.length measures)
-              (Array.length grid) stats.Transient.iterations);
         stats
 
   (* [ctx]: trace context (request id) for this flush.  Spans and Diag

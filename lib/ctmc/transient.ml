@@ -1,9 +1,5 @@
 open Batlife_numerics
 
-let log_src = Logs.Src.create "batlife.transient" ~doc:"Uniformisation sweeps"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type stats = {
   iterations : int;
   converged_at : int option;
@@ -844,14 +840,6 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
       done
   | None -> ());
   let iterations = match !converged_at with Some at -> at | None -> n_max in
-  Log.debug (fun f ->
-      f "multi-measure sweep: %d states, %d measures, %d times, q=%g, %d \
-         iterations%s, window [%d, %d), touched %d nnz, skipped mass %g"
-        n k (Array.length times) q iterations
-        (match !converged_at with
-        | Some at -> Printf.sprintf " (stationary after %d)" at
-        | None -> "")
-        (!current).blo (!current).bhi !total_touched !skipped);
   Telemetry.observe_int h_iterations iterations;
   let mass_residual, fg_defect =
     verify_sweep ~where ~accuracy:opts.Solver_opts.accuracy ~mass0 ~windows

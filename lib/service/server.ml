@@ -1,8 +1,5 @@
 open Batlife_numerics
 
-let log_src = Logs.Src.create "batlife.serve" ~doc:"Lifetime-query server"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Server IO fault sites (see Fi): a client reading/writing slowly, a
    client vanishing mid-batch, a frame burst that must be shed, and a
@@ -57,15 +54,6 @@ type drop_reason =
   | `Too_many_strikes
   | `Client_gone
   | `Draining ]
-
-let drop_reason_to_string = function
-  | `Eof -> "eof"
-  | `Oversized_frame -> "oversized_frame"
-  | `Idle_timeout -> "idle_timeout"
-  | `Write_timeout -> "write_timeout"
-  | `Too_many_strikes -> "too_many_strikes"
-  | `Client_gone -> "client_gone"
-  | `Draining -> "draining"
 
 (* A buffered line reader over a raw fd.  [next_line ~block:false]
    only returns a line that is already buffered or immediately
@@ -428,11 +416,6 @@ let serve_connection ?(limits = default_limits) ?drain ?(max_batch = 64) service
         (write_frame { Query.r_id = ""; cache = None; result = Error e }
           : (unit, _) result)
   | _ -> ());
-  (match outcome with
-  | `Eof | `Draining -> ()
-  | reason ->
-      Log.info (fun m -> m "connection dropped: %s"
-        (drop_reason_to_string reason)));
   outcome
 
 let serve_fd ?limits ?drain ?max_batch service ~in_fd ~out_fd =
@@ -468,10 +451,7 @@ let remove_stale_socket path =
                  "socket is in use by a live daemon (connect probe \
                   succeeded); refusing to steal it";
              })
-      else begin
-        Log.info (fun m -> m "removing stale socket %s" path);
-        Unix.unlink path
-      end)
+      else Unix.unlink path)
   | _ -> ()
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
@@ -490,7 +470,6 @@ let serve_unix ?limits ?drain ?max_batch ?max_connections ?(backlog = 64)
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock backlog;
-      Log.info (fun m -> m "listening on %s (backlog %d)" path backlog);
       let draining () =
         match drain with Some d -> Drain.requested d | None -> false
       in
