@@ -138,7 +138,7 @@ let simulation_kernel =
   in
   let sim = Batlife_sim.Trajectory.prepare model in
   fun () ->
-    Batlife_sim.Trajectory.run sim (Batlife_sim.Rng.create ~seed:42L ())
+    Batlife_sim.Trajectory.run sim (Batlife_numerics.Rng.create ~seed:42L ())
 
 (* Micro / subsystem kernels beyond the paper's experiments. *)
 

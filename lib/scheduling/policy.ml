@@ -1,4 +1,4 @@
-open Batlife_sim
+open Batlife_numerics
 
 type t = Sequential | Round_robin | Best_available | Random of int
 

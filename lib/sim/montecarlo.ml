@@ -1,5 +1,6 @@
 module Diag = Batlife_numerics.Diag
 module Progress = Batlife_numerics.Progress
+module Rng = Batlife_numerics.Rng
 
 type estimate = {
   times : float array;

@@ -1,3 +1,4 @@
+open Batlife_numerics
 open Batlife_battery
 module Diag = Batlife_numerics.Diag
 

@@ -10,6 +10,7 @@
     mean lifetime over many replications is what Table 1's
     "stochastic" column reports. *)
 
+open Batlife_numerics
 open Batlife_battery
 
 val sample_lifetime :

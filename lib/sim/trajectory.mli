@@ -6,6 +6,7 @@
     root finding — no time-discretisation error anywhere.  This is the
     "simulation" curve of the paper's Figs. 7, 8 and 10. *)
 
+open Batlife_numerics
 open Batlife_battery
 open Batlife_core
 

@@ -1,3 +1,4 @@
+open Batlife_numerics
 open Batlife_battery
 open Batlife_workload
 open Batlife_core
