@@ -945,9 +945,6 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
       skipped_mass = 0.;
     } )
 
-(* One time point is one row of the distribution sweep: the same
-   products and output bits, with its per-step mass guard and its
-   a-posteriori check. *)
 let solve ?opts g ~alpha ~t =
   let outs, _ = distribution_sweep ?opts g ~alpha ~times:[| t |] in
   outs.(0)

@@ -222,9 +222,10 @@ val multi_measure_sweep :
     iterate; under the adaptive kernel, entries outside the support
     window are exactly [0.], so index-summing measures need no window
     awareness.  A measure must not keep or modify the array it is
-    given: the sweep overwrites it in place.  When successive [v_n] differ by less
-    than [opts.convergence_tol] in L-infinity, the sweep stops early
-    and the remaining steps are extrapolated as constant.
+    given: the sweep overwrites it in place.  When successive [v_n]
+    differ by less than [opts.convergence_tol] in L-infinity, the
+    sweep stops early and the remaining steps are extrapolated as
+    constant.
 
     [windows] supplies precomputed Fox–Glynn truncations, one per
     entry of [times] (they must have been computed for the same [q]
@@ -232,11 +233,10 @@ val multi_measure_sweep :
     [buffers] supplies the two length-[n] working vectors so repeated
     sweeps are allocation-free apart from the result matrix (the first
     is seeded with a copy of [alpha]; [alpha] itself is never
-    written); [kernel]
-    supplies a prebuilt stepping kernel (from {!make_kernel}) so
-    repeated sweeps skip the per-call transpose.  Raises
-    [Invalid_argument] if [windows]/[buffers] have the wrong length,
-    or if [kernel] was prepared for a different state count or
+    written); [kernel] supplies a prebuilt stepping kernel (from
+    {!make_kernel}) so repeated sweeps skip the per-call transpose.
+    Raises [Invalid_argument] if [windows]/[buffers] have the wrong
+    length, or if [kernel] was prepared for a different state count or
     uniformisation rate than the sweep resolves under [opts].
 
     [progress] carries the checkpoint/resume hooks

@@ -1,6 +1,5 @@
 open Batlife_numerics
 
-
 (* Server IO fault sites (see Fi): a client reading/writing slowly, a
    client vanishing mid-batch, a frame burst that must be shed, and a
    partial write back to the client.  Consulted on the hot paths at
