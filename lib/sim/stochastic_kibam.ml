@@ -1,6 +1,6 @@
-open Batlife_numerics
 open Batlife_battery
 module Diag = Batlife_numerics.Diag
+module Rng = Batlife_numerics.Rng
 
 let step_slot rng p ~load ~slot (s : Kibam.state) =
   let base = p.Modified_kibam.base in
