@@ -333,18 +333,21 @@ module Session = struct
           | None -> s.opts
           | Some b -> { s.opts with Solver_opts.budget = Some b }
         in
-        let results, stats =
-          Transient.multi_measure_sweep ~opts ~windows ~buffers
-            ~kernel:(kernel s) s.d.generator ~alpha:s.d.alpha ~times:grid
-            ~measures
+        let series, stats =
+          Transient.multi_measure_series ~opts ~buffers ~kernel:(kernel s)
+            s.d.generator ~alpha:s.d.alpha ~times:grid ~windows ~measures
         in
+        (* Fold only the (functional, time) pairs each registration
+           asked for, not the whole functionals-by-grid product. *)
         let offset = ref 0 in
         List.iter
           (fun r ->
             r.out <-
               Array.init (Array.length r.funcs) (fun k ->
+                  let per_step = series.(!offset + k) in
                   Array.map
-                    (fun t -> results.(!offset + k).(Hashtbl.find time_index t))
+                    (fun t ->
+                      Poisson.expect windows.(Hashtbl.find time_index t) per_step)
                     r.reg_times);
             r.filled <- true;
             offset := !offset + Array.length r.funcs)

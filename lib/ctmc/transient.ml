@@ -160,7 +160,9 @@ type kernel = {
   k_rate : float;  (** the uniformisation rate [q] baked into P *)
   k_pt : Sparse.t;  (** transpose of [P = I + Q/q] *)
   k_parts : int;
-  k_partition : (int * int) array;  (** full-range partition, cached *)
+  k_partition : int array;
+      (** full-range partition, cached: chunk [i] is
+          [\[k_partition.(2i), k_partition.(2i+1))] *)
   k_pool : Pool.t;
   k_down : int;
       (** max index decrease a stored transition causes (src - dst) *)
@@ -217,7 +219,12 @@ let kernel_for g ~q ~jobs =
     k_rate = q;
     k_pt = pt;
     k_parts = parts;
-    k_partition = Sparse.nnz_balanced_partition pt ~parts;
+    k_partition =
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun (lo, hi) -> [| lo; hi |])
+              (Sparse.nnz_balanced_partition pt ~parts)));
     k_pool = pool;
     k_down = !down;
     k_up = !up;
@@ -240,7 +247,7 @@ let kernel_bytes k =
   let nnz = Sparse.nnz k.k_pt in
   (nnz * (8 + 4))
   + (Array.length k.k_pt.Sparse.row_ptr * 8)
-  + (Array.length k.k_partition * 3 * 8)
+  + (Array.length k.k_partition * 8)
   + (Array.length k.k_disp * 8)
 
 (* A caller-supplied kernel must have been prepared for the exact rate
@@ -263,8 +270,8 @@ let check_kernel ~where ~q ~opts g = function
 (* ------------------------------------------------------------------ *)
 (* Segmented working vectors.
 
-   A [buf] pairs a [float array] with its support: [segs] is a sorted
-   array of disjoint half-open index segments, and the invariant,
+   A [buf] pairs a [float array] with its support: a sorted array of
+   disjoint, maximal half-open index segments, and the invariant,
    maintained by every operation below, is that the vector is exactly
    [0.] outside them.  [blo, bhi) is the segments' hull, kept for the
    mass guards and the reported stats.  All segment boundaries are
@@ -272,13 +279,38 @@ let check_kernel ~where ~q ~opts g = function
    count), which is what lets a resumed sweep rebuild the exact live
    support from the stored vector alone: the pruner drops every
    all-zero tile it scans, so the live support is precisely the set of
-   tiles holding a nonzero. *)
+   tiles holding a nonzero.
+
+   The segments live in a flat int buffer — segment [i] is
+   [\[segs.(2i), segs.(2i+1))] for [i < nsegs] — sized once per sweep
+   from the tile count T = ⌈n / tile⌉.  Maximal runs of tiles are
+   separated by at least one uncovered tile, so a support never has
+   more than ⌈T / 2⌉ segments and T + 1 ints always hold it.  Every
+   product rewrites its segment sets into these buffers, so it
+   allocates a fixed number of words whatever the state count. *)
 
 type buf = {
   v : float array;
   mutable blo : int;
   mutable bhi : int;
-  mutable segs : (int * int) array;
+  mutable segs : int array;
+  mutable nsegs : int;
+}
+
+(* The segment bookkeeping of one sweep, made with its working vectors.
+   [spare] is a third segment buffer: an operation writes its output
+   segments there and then swaps it with the target [buf]'s [segs].
+   [marks] holds the per-tile coverage deltas of the dilation and is
+   all zero between products.  [chunks] receives the nnz-balanced
+   partition of a product dispatched to the pool.  [touched] and
+   [rows] tally the sweep's work. *)
+type work = {
+  tile : int;
+  marks : int array;
+  mutable spare : int array;
+  chunks : int array;
+  mutable touched : int;
+  mutable rows : int;
 }
 
 (* The tile grid: coarse enough that the per-tile max/sum scan
@@ -287,16 +319,67 @@ type buf = {
    support recovery on resume) agrees on the grid. *)
 let tile_width n = Int.max 8 (Int.min 64 (n / 1024))
 
-let seg_hull = function
-  | [||] -> (0, 0)
-  | segs -> (fst segs.(0), snd segs.(Array.length segs - 1))
+(* Buffers for a sweep of [n] states on a kernel of [parts] workers.  A
+   dispatched product has at most [parts] chunks closed by the balance
+   target plus one per segment (see {!partition_segs}). *)
+let make_work ~n ~parts =
+  let tile = tile_width n in
+  let tiles = (n + tile - 1) / tile in
+  {
+    tile;
+    marks = Array.make (tiles + 1) 0;
+    spare = Array.make (tiles + 1) 0;
+    chunks = Array.make ((2 * parts) + tiles + 1) 0;
+    touched = 0;
+    rows = 0;
+  }
+
+let make_buf w v =
+  { v; blo = 0; bhi = 0; segs = Array.make (Array.length w.spare) 0; nsegs = 0 }
+
+let full_support b =
+  let n = Array.length b.v in
+  b.segs.(0) <- 0;
+  b.segs.(1) <- n;
+  b.nsegs <- 1;
+  b.blo <- 0;
+  b.bhi <- n
+
+(* Give [b] the [count] segments just written into [w.spare]. *)
+let install w b count =
+  let old = b.segs in
+  b.segs <- w.spare;
+  w.spare <- old;
+  b.nsegs <- count;
+  if count = 0 then begin
+    b.blo <- 0;
+    b.bhi <- 0
+  end
+  else begin
+    b.blo <- b.segs.(0);
+    b.bhi <- b.segs.((2 * count) - 1)
+  end
+
+(* Append [lo, hi) to the [count] ascending segments of [segs],
+   coalescing it with the last one when they overlap or touch, so the
+   result stays disjoint, sorted and maximal; returns the new count. *)
+let push_seg (segs : int array) count lo hi =
+  if count > 0 && lo <= segs.((2 * count) - 1) then begin
+    if hi > segs.((2 * count) - 1) then segs.((2 * count) - 1) <- hi;
+    count
+  end
+  else begin
+    segs.(2 * count) <- lo;
+    segs.((2 * count) + 1) <- hi;
+    count + 1
+  end
 
 (* Per-element scans of the working vectors.  They live here, on
    concretely typed [float array]s, so the loads compile to unboxed
    primitives whatever the build's cross-module inlining; every range
-   is a segment hull inside [\[0, n)].  Sums and maxima run in
-   ascending index order, the fixed evaluation order the bitwise
-   guarantees of the sweeps rely on. *)
+   is a segment hull inside [\[0, n)].  Sums run in ascending index
+   order, the fixed evaluation order the bitwise guarantees of the
+   sweeps rely on. *)
 let sum_range (v : float array) ~lo ~hi =
   let acc = ref 0. in
   for i = lo to hi - 1 do
@@ -304,13 +387,18 @@ let sum_range (v : float array) ~lo ~hi =
   done;
   !acc
 
-let dist_inf_range (x : float array) (y : float array) ~lo ~hi =
-  let acc = ref 0. in
-  for i = lo to hi - 1 do
-    acc :=
-      Float.max !acc (Float.abs (Array.unsafe_get x i -. Array.unsafe_get y i))
+(* Whether every |x_i - y_i| on [lo, hi) is at most [tol]: the
+   L-infinity convergence test, stopping at the first entry that
+   fails it.  A NaN difference fails it, as a NaN maximum would. *)
+let within_tol (x : float array) (y : float array) ~lo ~hi ~tol =
+  let i = ref lo in
+  while
+    !i < hi
+    && Float.abs (Array.unsafe_get x !i -. Array.unsafe_get y !i) <= tol
+  do
+    incr i
   done;
-  !acc
+  !i >= hi && tol >= 0.
 
 (* The tightest [(lo, hi)] with every entry outside exactly [0.];
    [(0, 0)] for an all-zero vector.  NaN counts as nonzero. *)
@@ -325,222 +413,262 @@ let nonzero_extent (v : float array) =
     (!lo, !hi)
   end
 
-(* Merge a lo-sorted segment array: overlapping or exactly adjacent
-   segments coalesce, so the result is disjoint, sorted and minimal. *)
-let merge_segs segs =
-  let m = Array.length segs in
-  if m <= 1 then segs
-  else begin
-    let out = ref [] in
-    let clo = ref (fst segs.(0)) and chi = ref (snd segs.(0)) in
-    for i = 1 to m - 1 do
-      let lo, hi = segs.(i) in
-      if lo <= !chi then (if hi > !chi then chi := hi)
-      else begin
-        out := (!clo, !chi) :: !out;
-        clo := lo;
-        chi := hi
-      end
-    done;
-    out := (!clo, !chi) :: !out;
-    Array.of_list (List.rev !out)
-  end
-
 (* The support of an arbitrary vector, as tile-aligned segments: a
    tile survives iff it holds an entry that is not exactly [0.] (NaN
    counts — it must stay visible to the guards).  Used to seed a sweep
    from alpha and to restore the live support of a checkpointed
    iterate; because the pruner below never leaves an all-zero tile
    active, this reproduces the interrupted sweep's support exactly. *)
-let segs_of_nonzeros v =
+let seed_support w b =
+  let v = b.v and tile = w.tile and out = w.spare in
   let n = Array.length v in
-  let tile = tile_width n in
   let lo0, hi0 = nonzero_extent v in
-  let kept = ref [] in
+  let count = ref 0 in
   let t = ref (lo0 / tile * tile) in
   while !t < hi0 do
-    let hi = min n (!t + tile) in
+    let hi = Int.min n (!t + tile) in
     let occupied = ref false in
-    let i = ref (max !t lo0) in
+    let i = ref (Int.max !t lo0) in
     while (not !occupied) && !i < hi do
       if Array.unsafe_get v !i <> 0. then occupied := true;
       incr i
     done;
-    if !occupied then kept := (!t, hi) :: !kept;
+    if !occupied then count := push_seg out !count !t hi;
     t := hi
   done;
-  merge_segs (Array.of_list (List.rev !kept))
+  install w b !count
+
+(* Mark the tiles a shifted segment [lo, hi) covers once clipped to
+   [\[0, n)]: +1 at its first tile, -1 just past its last. *)
+let mark_tiles (marks : int array) ~n ~tile lo hi =
+  let lo = if lo < 0 then 0 else lo and hi = if hi > n then n else hi in
+  if lo < hi then begin
+    let a = lo / tile and b = (hi + tile - 1) / tile in
+    marks.(a) <- marks.(a) + 1;
+    marks.(b) <- marks.(b) - 1
+  end
 
 (* Rows that can be nonzero after one product: the source segments
    shifted by every distinct displacement (or dilated by the
    bandwidths when the displacement set overflowed), aligned out to
-   the tile grid, clipped to [\[0, n)], sorted and merged.  This is an
+   the tile grid and clipped to [\[0, n)].  This is an
    over-approximation of the true next support — any row outside it
    has all its P^T entries anchored at exact-zero sources — so rows
-   outside stay exact zeros and nothing escapes silently. *)
-let dilate_segs k segs =
-  let n = k.k_states in
-  if Array.length segs = 0 then [||]
+   outside stay exact zeros and nothing escapes silently.
+
+   Each shifted segment marks the tiles it covers; one scan of the
+   marks over the shifted hull then reads back the maximal runs of
+   covered tiles, which is the aligned union, merged — in
+   O(|D| x segments + hull tiles), with no sort.  The cover goes to
+   [w.spare]; returns its segment count. *)
+let dilate_segs k w (src : buf) =
+  let m = src.nsegs in
+  if m = 0 then 0
   else begin
-    let tile = tile_width n in
-    let shifted =
-      if Array.length k.k_disp > 0 then
-        Array.concat
-          (Array.to_list
-             (Array.map
-                (fun d -> Array.map (fun (lo, hi) -> (lo + d, hi + d)) segs)
-                k.k_disp))
-      else Array.map (fun (lo, hi) -> (lo - k.k_down, hi + k.k_up)) segs
-    in
-    let aligned =
-      Array.map
-        (fun (lo, hi) ->
-          let lo = max 0 lo and hi = min n hi in
-          if hi <= lo then (0, 0)
-          else (lo / tile * tile, min n ((hi + tile - 1) / tile * tile)))
-        shifted
-    in
-    let live = Array.of_list (List.filter (fun (lo, hi) -> hi > lo) (Array.to_list aligned)) in
-    Array.sort compare live;
-    merge_segs live
+    let n = k.k_states and tile = w.tile and marks = w.marks in
+    let segs = src.segs and disp = k.k_disp in
+    let nd = Array.length disp in
+    if nd > 0 then
+      for j = 0 to nd - 1 do
+        let d = disp.(j) in
+        for i = 0 to m - 1 do
+          mark_tiles marks ~n ~tile (segs.(2 * i) + d) (segs.((2 * i) + 1) + d)
+        done
+      done
+    else
+      for i = 0 to m - 1 do
+        mark_tiles marks ~n ~tile
+          (segs.(2 * i) - k.k_down)
+          (segs.((2 * i) + 1) + k.k_up)
+      done;
+    (* D holds 0, so its extremes bracket every shift. *)
+    let dmin = if nd > 0 then disp.(0) else -k.k_down in
+    let dmax = if nd > 0 then disp.(nd - 1) else k.k_up in
+    let first = Int.max 0 (segs.(0) + dmin) / tile in
+    let last = (Int.min n (segs.((2 * m) - 1) + dmax) + tile - 1) / tile in
+    let out = w.spare in
+    let count = ref 0 and depth = ref 0 and start = ref 0 in
+    for t = first to last do
+      let d = !depth + marks.(t) in
+      marks.(t) <- 0;
+      if !depth = 0 && d > 0 then start := t
+      else if !depth > 0 && d = 0 then begin
+        out.(2 * !count) <- !start * tile;
+        out.((2 * !count) + 1) <- Int.min n (t * tile);
+        incr count
+      end;
+      depth := d
+    done;
+    !count
   end
 
 (* Zero the parts of [dst]'s previous support the coming gather will
    not overwrite, so stale mass from two steps ago can never leak
-   back in.  Both segment arrays are sorted, so one forward walk
+   back in.  Both segment sets are sorted, so one forward walk
    subtracts the new cover from the old. *)
-let zero_stale dst ~active =
-  let na = Array.length active in
+let zero_stale (dst : buf) ~(cover : int array) ~ncover =
+  let v = dst.v and old = dst.segs in
   let j = ref 0 in
-  Array.iter
-    (fun (olo, ohi) ->
-      let pos = ref olo in
-      while !pos < ohi do
-        while !j < na && snd active.(!j) <= !pos do
-          incr j
-        done;
-        if !j >= na || fst active.(!j) >= ohi then begin
-          Array.fill dst.v !pos (ohi - !pos) 0.;
-          pos := ohi
-        end
-        else begin
-          let alo, ahi = active.(!j) in
-          if alo > !pos then Array.fill dst.v !pos (alo - !pos) 0.;
-          pos := min ohi ahi
-        end
-      done)
-    dst.segs
+  for s = 0 to dst.nsegs - 1 do
+    let ohi = old.((2 * s) + 1) in
+    let pos = ref old.(2 * s) in
+    while !pos < ohi do
+      while !j < ncover && cover.((2 * !j) + 1) <= !pos do
+        incr j
+      done;
+      if !j >= ncover || cover.(2 * !j) >= ohi then begin
+        Array.fill v !pos (ohi - !pos) 0.;
+        pos := ohi
+      end
+      else begin
+        let alo = cover.(2 * !j) and ahi = cover.((2 * !j) + 1) in
+        if alo > !pos then Array.fill v !pos (alo - !pos) 0.;
+        pos := Int.min ohi ahi
+      end
+    done
+  done
 
 (* nnz-balanced chunks covering exactly the active segments, the
    segmented analogue of {!Sparse.nnz_balanced_partition} (same
-   nnz-plus-one row weight).  Chunk boundaries never straddle a
-   segment, so every chunk is a contiguous row range the gather can
-   own; producing a few more chunks than workers is fine —
-   {!Pool.run_chunks} assigns chunk [i] to worker [i mod size], and
-   the values are bitwise independent of the partition anyway. *)
-let partition_segs pt segs ~parts =
-  let row_ptr = pt.Sparse.row_ptr in
-  let weight lo hi = row_ptr.(hi) - row_ptr.(lo) + (hi - lo) in
-  let total = Array.fold_left (fun acc (lo, hi) -> acc + weight lo hi) 0 segs in
-  let target = max 1 ((total + parts - 1) / parts) in
-  let chunks = ref [] in
-  Array.iter
-    (fun (slo, shi) ->
-      let lo = ref slo and acc = ref 0 in
-      for r = slo to shi - 1 do
-        acc := !acc + (row_ptr.(r + 1) - row_ptr.(r)) + 1;
-        if !acc >= target && r + 1 < shi then begin
-          chunks := (!lo, r + 1) :: !chunks;
-          lo := r + 1;
-          acc := 0
-        end
-      done;
-      if !lo < shi then chunks := (!lo, shi) :: !chunks)
-    segs;
-  Array.of_list (List.rev !chunks)
+   nnz-plus-one row weight), written into [w.chunks].  Chunk
+   boundaries never straddle a segment, so every chunk is a contiguous
+   row range the gather can own.  A chunk closes early only once it
+   reaches the balance target, which happens at most [parts] times, so
+   there are at most [parts] plus one chunk per segment — a few more
+   chunks than workers is fine: {!Pool.run_chunks} assigns chunk [i]
+   to worker [i mod size], and the values are bitwise independent of
+   the partition anyway.  Returns the chunk count. *)
+let partition_segs pt w (b : buf) ~parts =
+  let row_ptr = pt.Sparse.row_ptr and segs = b.segs and out = w.chunks in
+  let total = ref 0 in
+  for s = 0 to b.nsegs - 1 do
+    let lo = segs.(2 * s) and hi = segs.((2 * s) + 1) in
+    total := !total + (row_ptr.(hi) - row_ptr.(lo)) + (hi - lo)
+  done;
+  let target = Int.max 1 ((!total + parts - 1) / parts) in
+  let count = ref 0 in
+  for s = 0 to b.nsegs - 1 do
+    let slo = segs.(2 * s) and shi = segs.((2 * s) + 1) in
+    let lo = ref slo and acc = ref 0 in
+    for r = slo to shi - 1 do
+      acc := !acc + (row_ptr.(r + 1) - row_ptr.(r)) + 1;
+      if !acc >= target && r + 1 < shi then begin
+        out.(2 * !count) <- !lo;
+        out.((2 * !count) + 1) <- r + 1;
+        incr count;
+        lo := r + 1;
+        acc := 0
+      end
+    done;
+    if !lo < shi then begin
+      out.(2 * !count) <- !lo;
+      out.((2 * !count) + 1) <- shi;
+      incr count
+    end
+  done;
+  !count
+
+let gather_segments k ~(src : buf) ~(dst : buf) =
+  let segs = dst.segs in
+  for s = 0 to dst.nsegs - 1 do
+    Sparse.matvec_rows k.k_pt src.v ~dst:dst.v ~lo:segs.(2 * s)
+      ~hi:segs.((2 * s) + 1)
+  done
 
 (* One uniformised step: v' = v P, as a gather over the transposed
    matrix restricted to the active segments.  Every active dst entry
-   is (over)written by exactly one chunk; the chunk-to-worker
-   assignment and the in-row summation order are fixed, so the result
-   is bitwise independent of the job count.  Returns the (touched
-   nonzeros, active rows) work tally of this product. *)
-let step_window k ~src ~dst ~adaptive =
+   is (over)written by exactly one writer in the fixed in-row order,
+   so the result is bitwise independent of how the rows are split.  A
+   product runs on the calling domain — each active segment gathered
+   directly, with no partition — when its pool runs sections inline
+   anyway (sequential, or nested in another section, as every product
+   of the query service is); only the others are partitioned into
+   nnz-balanced chunks and dispatched.  Both paths are supervised and
+   consult [pool.crash] once per share.  Adds the product's touched
+   nonzeros and active rows to [w]'s tallies. *)
+let step_window k w ~src ~dst ~adaptive =
   Telemetry.incr c_products;
-  let n = k.k_states in
-  let active = if not adaptive then [| (0, n) |] else dilate_segs k src.segs in
-  zero_stale dst ~active;
-  if Array.length active > 0 then begin
-    let partition =
-      if not adaptive then k.k_partition
-      else partition_segs k.k_pt active ~parts:k.k_parts
-    in
-    (* Supervised: a worker crash mid-product re-runs its partition
-       (the chunks write disjoint, deterministic ranges of dst, so the
-       re-run is bitwise identical) instead of killing the sweep. *)
-    Pool.run_chunks ~supervise:true k.k_pool partition (fun ~lo ~hi ->
-        Sparse.matvec_rows k.k_pt src.v ~dst:dst.v ~lo ~hi)
-  end;
-  dst.segs <- active;
-  let wlo, whi = seg_hull active in
-  dst.blo <- wlo;
-  dst.bhi <- whi;
+  let ncover =
+    if adaptive then dilate_segs k w src
+    else begin
+      w.spare.(0) <- 0;
+      w.spare.(1) <- k.k_states;
+      1
+    end
+  in
+  zero_stale dst ~cover:w.spare ~ncover;
+  install w dst ncover;
   let touched = ref 0 and rows = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      touched := !touched + Sparse.range_nnz k.k_pt ~lo ~hi;
-      rows := !rows + (hi - lo))
-    active;
+  for s = 0 to ncover - 1 do
+    let lo = dst.segs.(2 * s) and hi = dst.segs.((2 * s) + 1) in
+    touched := !touched + Sparse.range_nnz k.k_pt ~lo ~hi;
+    rows := !rows + (hi - lo)
+  done;
+  if ncover > 0 then begin
+    let pool = k.k_pool in
+    if Pool.runs_inline pool then
+      (* Supervised: a crashed share re-runs in place; the gather
+         overwrites the same rows with the same values. *)
+      Pool.run_inline ~supervise:true pool (fun share ->
+          if share = 0 then gather_segments k ~src ~dst)
+    else begin
+      let chunks, count =
+        if adaptive then (w.chunks, partition_segs k.k_pt w dst ~parts:k.k_parts)
+        else (k.k_partition, Array.length k.k_partition / 2)
+      in
+      Pool.run_chunks ~supervise:true pool chunks ~count (fun ~lo ~hi ->
+          Sparse.matvec_rows k.k_pt src.v ~dst:dst.v ~lo ~hi)
+    end
+  end;
+  w.touched <- w.touched + !touched;
+  w.rows <- w.rows + !rows;
   Telemetry.add c_touched_nnz !touched;
   Telemetry.add c_active_rows !rows;
   if Fi.enabled () then begin
-    let at = if wlo < whi then wlo else 0 in
+    let at = if dst.blo < dst.bhi then dst.blo else 0 in
     if Fi.fires fi_step_nan then dst.v.(at) <- Float.nan;
     if Fi.fires fi_step_overflow then dst.v.(at) <- 1e30
-  end;
-  (!touched, !rows)
+  end
 
 (* Tile-granular pruning: every active tile whose max magnitude is at
    most [tau] AND whose mass fits the remaining skipped-mass cap is
    dropped — zeroed, its mass added to [skipped] — and the surviving
-   tiles become the new support.  All-zero tiles always qualify at
-   zero cost, so the support never retains a tile without a nonzero
-   (the property resume relies on).  With [tau = 0.] only exact zeros
-   are consumed and [skipped] stays [+0.], which is what makes the
-   threshold-0 adaptive sweep bitwise identical to the full-support
-   kernel.  NaN never satisfies the comparisons, so an injected NaN
-   survives for the mass guard to catch. *)
-let prune_segments b ~tau ~cap ~skipped =
-  let v = b.v in
-  let n = Array.length v in
-  let tile = tile_width n in
-  let kept = ref [] in
-  Array.iter
-    (fun (slo, shi) ->
-      let t = ref slo in
-      while !t < shi do
-        let hi = min shi (((!t / tile) + 1) * tile) in
-        let mx = ref 0. and sm = ref 0. in
-        for i = !t to hi - 1 do
-          let ax = Float.abs (Array.unsafe_get v i) in
-          if not (ax <= !mx) then mx := ax;
-          sm := !sm +. ax
-        done;
-        if !mx <= tau && !skipped +. !sm <= cap then begin
-          if !sm > 0. then begin
-            skipped := !skipped +. !sm;
-            Array.fill v !t (hi - !t) 0.
-          end
+   tiles become the new support, written straight into [w.spare] and
+   merged as they come.  All-zero tiles always qualify at zero cost,
+   so the support never retains a tile without a nonzero (the property
+   resume relies on).  With [tau = 0.] only exact zeros are consumed
+   and [skipped] stays [+0.], which is what makes the threshold-0
+   adaptive sweep bitwise identical to the full-support kernel.  NaN
+   never satisfies the comparisons, so an injected NaN survives for
+   the mass guard to catch. *)
+let prune_segments w b ~tau ~cap ~skipped =
+  let v = b.v and tile = w.tile and segs = b.segs and out = w.spare in
+  let sk = ref !skipped and dropped = ref false in
+  let count = ref 0 in
+  for s = 0 to b.nsegs - 1 do
+    let shi = segs.((2 * s) + 1) in
+    let t = ref segs.(2 * s) in
+    while !t < shi do
+      let hi = Int.min shi (((!t / tile) + 1) * tile) in
+      let mx = ref 0. and sm = ref 0. in
+      for i = !t to hi - 1 do
+        let ax = Float.abs (Array.unsafe_get v i) in
+        if not (ax <= !mx) then mx := ax;
+        sm := !sm +. ax
+      done;
+      if !mx <= tau && !sk +. !sm <= cap then begin
+        if !sm > 0. then begin
+          sk := !sk +. !sm;
+          dropped := true;
+          Array.fill v !t (hi - !t) 0.
         end
-        else kept := (!t, hi) :: !kept;
-        t := hi
-      done)
-    b.segs;
-  let segs = merge_segs (Array.of_list (List.rev !kept)) in
-  b.segs <- segs;
-  let lo, hi = seg_hull segs in
-  b.blo <- lo;
-  b.bhi <- hi
+      end
+      else count := push_seg out !count !t hi;
+      t := hi
+    done
+  done;
+  if !dropped then skipped := !sk;
+  install w b !count
 
 (* The error-budget split.  Fox–Glynn truncation already spends up to
    [accuracy] (its defect is audited against it); the adaptive kernel
@@ -642,19 +770,14 @@ let verify_sweep ~where ~accuracy ~mass0 ~windows ~skipped ~budget_skip b =
       !fg_defect accuracy;
   (mass_residual, !fg_defect)
 
-let checked_measure ~where measure ~step v =
-  let value = measure v in
-  if Float.is_nan value then
-    Diag.breakdown ~where "measure returned NaN at uniformisation step %d" step;
-  value
-
 (* Working vectors of a sweep: reuse caller-provided buffers (the
    session fast path — no per-call allocation) or allocate a fresh
-   pair.  The first buffer is seeded with a copy of alpha either way —
-   never alpha itself, which the sweep would overwrite in place; an
-   adaptive sweep starts from the tile-aligned support of alpha, a
-   full-support one from [\[0, n)]. *)
-let sweep_buffers ~where ~n ~alpha ~adaptive buffers =
+   pair, plus the segment buffers of {!work}.  The first buffer is
+   seeded with a copy of alpha either way — never alpha itself, which
+   the sweep would overwrite in place; an adaptive sweep starts from
+   the tile-aligned support of alpha, a full-support one from
+   [\[0, n)]. *)
+let sweep_buffers ~where ~n ~parts ~alpha ~adaptive buffers =
   let a, b =
     match buffers with
     | None -> (Array.copy alpha, Array.make n 0.)
@@ -665,12 +788,14 @@ let sweep_buffers ~where ~n ~alpha ~adaptive buffers =
         Array.fill b 0 n 0.;
         (a, b)
   in
-  let asegs = if adaptive then segs_of_nonzeros a else [| (0, n) |] in
-  let bsegs = if adaptive then [||] else [| (0, n) |] in
-  let alo, ahi = seg_hull asegs in
-  let blo, bhi = seg_hull bsegs in
-  ( { v = a; blo = alo; bhi = ahi; segs = asegs },
-    { v = b; blo; bhi; segs = bsegs } )
+  let w = make_work ~n ~parts in
+  let a = make_buf w a and b = make_buf w b in
+  if adaptive then seed_support w a
+  else begin
+    full_support a;
+    full_support b
+  end;
+  (w, a, b)
 
 let check_windows ~where ~times = function
   | None -> None
@@ -681,9 +806,12 @@ let check_windows ~where ~times = function
 
 (* The batched engine: the sequence v_n = alpha P^n is walked ONCE and
    every registered linear functional is evaluated at every step; each
-   (measure, time) result is then a Poisson-weighted scalar sum.  Any
-   number of measures and time points therefore cost a single power
-   sweep.
+   (measure, time) result is then a Poisson-weighted scalar sum of the
+   measure's per-step series.  Any number of measures and time points
+   therefore cost a single power sweep.  Returns the series, the
+   windows and the stats; the two public entry points below either
+   fold every (measure, time) pair or hand the series to a caller that
+   folds only the pairs it needs.
 
    [progress] is invoked after every completed step with a lazy
    snapshot thunk (the copy is only paid when the caller decides to
@@ -697,7 +825,7 @@ let check_windows ~where ~times = function
    same tile scan whose output the pruner maintains live (no active
    tile is ever all-zero) — which is what makes resumed results
    bitwise equal. *)
-let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
+let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
     ?(progress = Progress.none) g ~alpha ~times ~measures =
   let { Progress.on_step; on_interrupt; resume } = progress in
   check_alpha g alpha;
@@ -726,17 +854,23 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
   in
   let adaptive = opts.Solver_opts.adaptive_support in
   let tau, budget_skip = resolve_pruning ~opts ~n_max in
+  let tol = opts.Solver_opts.convergence_tol in
   let mass0 = Vector.sum alpha in
   let k = Array.length measures in
   (* vals.(j).(m) is measure j evaluated on the step-m iterate. *)
   let vals = Array.make_matrix k (n_max + 1) 0. in
-  let v, v' = sweep_buffers ~where ~n ~alpha ~adaptive buffers in
+  let w, v, v' =
+    sweep_buffers ~where ~n ~parts:kernel.k_parts ~alpha ~adaptive buffers
+  in
   let current = ref v and scratch = ref v' in
   let skipped = ref 0. in
-  let total_touched = ref 0 and total_rows = ref 0 in
   let record m v =
     for j = 0 to k - 1 do
-      vals.(j).(m) <- checked_measure ~where measures.(j) ~step:m v
+      let value = measures.(j) v in
+      if Float.is_nan value then
+        Diag.breakdown ~where "measure returned NaN at uniformisation step %d"
+          m;
+      vals.(j).(m) <- value
     done
   in
   let converged_at = ref None in
@@ -766,13 +900,7 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
         (* The pruner zeroes everything it drops and never leaves an
            all-zero tile active, so the stored vector's occupied tiles
            ARE the live support of the interrupted sweep. *)
-        let segs =
-          if adaptive then segs_of_nonzeros (!current).v else [| (0, n) |]
-        in
-        let lo, hi = seg_hull segs in
-        (!current).segs <- segs;
-        (!current).blo <- lo;
-        (!current).bhi <- hi;
+        if adaptive then seed_support w !current;
         skipped := r.sp_skipped;
         if r.sp_converged then converged_at := Some r.sp_step;
         r.sp_step + 1
@@ -796,9 +924,7 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
         | Some f -> f (snapshot_at ~step:(!m - 1) ~converged:false ())
         | None -> ());
         Diag.fail e);
-    let touched, rows = step_window kernel ~src:!current ~dst:!scratch ~adaptive in
-    total_touched := !total_touched + touched;
-    total_rows := !total_rows + rows;
+    step_window kernel w ~src:!current ~dst:!scratch ~adaptive;
     if adaptive then begin
       (* Prorate the cap: after step m the cumulative skipped mass may
          use at most the fraction m / n_max of the total budget.  A
@@ -811,17 +937,17 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
       let cap =
         budget_skip *. float_of_int !m /. float_of_int (max 1 n_max)
       in
-      prune_segments !scratch ~tau ~cap ~skipped
+      prune_segments w !scratch ~tau ~cap ~skipped
     end;
-    let ulo = min (!current).blo (!scratch).blo
-    and uhi = max (!current).bhi (!scratch).bhi in
-    let drift = dist_inf_range (!current).v (!scratch).v ~lo:ulo ~hi:uhi in
+    let ulo = Int.min (!current).blo (!scratch).blo
+    and uhi = Int.max (!current).bhi (!scratch).bhi in
+    let still = within_tol (!current).v (!scratch).v ~lo:ulo ~hi:uhi ~tol in
     let t = !current in
     current := !scratch;
     scratch := t;
     guard_iterate ~where ~mass0 ~step:!m ~skipped:!skipped !current;
     record !m (!current).v;
-    if drift <= opts.Solver_opts.convergence_tol then converged_at := Some !m;
+    if still then converged_at := Some !m;
     (match on_step with
     | Some f ->
         f ~step:!m
@@ -845,29 +971,39 @@ let multi_measure_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
     verify_sweep ~where ~accuracy:opts.Solver_opts.accuracy ~mass0 ~windows
       ~skipped:!skipped ~budget_skip !current
   in
-  let results =
-    Array.map
-      (fun per_step ->
-        Array.map
-          (fun w ->
-            Poisson.fold w ~init:0. ~f:(fun acc m weight ->
-                acc +. (weight *. per_step.(m))))
-          windows)
-      vals
-  in
-  ( results,
+  ( vals,
+    windows,
     {
       iterations;
       converged_at = !converged_at;
       uniformisation_rate = q;
       mass_residual;
       fg_defect;
-      touched_nnz = !total_touched;
-      active_rows = !total_rows;
+      touched_nnz = w.touched;
+      active_rows = w.rows;
       support_lo = (!current).blo;
       support_hi = (!current).bhi;
       skipped_mass = !skipped;
     } )
+
+let multi_measure_sweep ?opts ?windows ?buffers ?kernel ?progress g ~alpha
+    ~times ~measures =
+  let series, windows, stats =
+    series_sweep ?opts ?windows ?buffers ?kernel ?progress g ~alpha ~times
+      ~measures
+  in
+  ( Array.map
+      (fun per_step -> Array.map (fun w -> Poisson.expect w per_step) windows)
+      series,
+    stats )
+
+let multi_measure_series ?opts ?buffers ?kernel ?progress g ~alpha ~times
+    ~windows ~measures =
+  let series, _, stats =
+    series_sweep ?opts ~windows ?buffers ?kernel ?progress g ~alpha ~times
+      ~measures
+  in
+  (series, stats)
 
 let measure_sweep ?opts ?windows ?buffers ?kernel ?progress g ~alpha ~times
     ~measure =
@@ -902,18 +1038,15 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
   let outs = Array.map (fun _ -> Vector.create n) times in
   (* Full per-time distributions are the deliverable here, so the
      exact full-support kernel is kept. *)
-  let v, v' = sweep_buffers ~where ~n ~alpha ~adaptive:false None in
+  let w, v, v' =
+    sweep_buffers ~where ~n ~parts:kernel.k_parts ~alpha ~adaptive:false None
+  in
   let current = ref v and scratch = ref v' in
-  let total_touched = ref 0 and total_rows = ref 0 in
   for m = 0 to n_max do
     if m > 0 then begin
       Budget.note_product budget;
       Budget.check ~what:where budget;
-      let touched, rows =
-        step_window kernel ~src:!current ~dst:!scratch ~adaptive:false
-      in
-      total_touched := !total_touched + touched;
-      total_rows := !total_rows + rows;
+      step_window kernel w ~src:!current ~dst:!scratch ~adaptive:false;
       let t = !current in
       current := !scratch;
       scratch := t;
@@ -938,8 +1071,8 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
       uniformisation_rate = q;
       mass_residual;
       fg_defect;
-      touched_nnz = !total_touched;
-      active_rows = !total_rows;
+      touched_nnz = w.touched;
+      active_rows = w.rows;
       support_lo = 0;
       support_hi = n;
       skipped_mass = 0.;

@@ -18,13 +18,18 @@
     (the pre-record optional-argument spellings were removed).
 
     {b Parallelism.}  The hot product [v := v P] runs as a gather over
-    the CSR transpose of [P], row-partitioned across a
-    [Batlife_numerics.Pool] of [Solver_opts.resolve_jobs opts] domains
-    (a {!kernel} value, prepared once per sweep or cached by the
-    session layer via {!make_kernel}).  Each output entry is owned by
-    exactly one domain and summed in a fixed order, so results are
-    {b bitwise identical} for every job count; [jobs = 1] takes a
-    guaranteed sequential path.  The per-step vectors are plain
+    the CSR transpose of [P] on a [Batlife_numerics.Pool] of
+    [Solver_opts.resolve_jobs opts] domains (a {!kernel} value,
+    prepared once per sweep or cached by the session layer via
+    {!make_kernel}).  Each output entry is owned by exactly one writer
+    and summed in a fixed order, so results are {b bitwise identical}
+    for every job count.  A product runs on the calling domain,
+    gathering each active segment directly, when the pool would run
+    the section inline anyway (jobs = 1, or nested inside another
+    section — every product of the query service, which fans batches
+    out with [Pool.map_array]); only the others are row-partitioned
+    into nnz-balanced chunks across the domains.  Both paths are supervised and consult the [pool.crash]
+    fault site once per share.  The per-step vectors are plain
     [float array]s; the CSR streams of [Batlife_numerics.Sparse] they
     are multiplied with are int32/float64 Bigarrays.
 
@@ -33,15 +38,18 @@
     lifetime sweep is a travelling front over the charge grid: at any
     step, most rows hold no probability mass.  The batched engine
     tracks the set of rows outside which the iterate is exactly zero
-    as disjoint index segments, {e expands} it each step along the
-    matrix's distinct transition displacements (falling back to the
-    structural bandwidths for unstructured matrices — either way no
-    transition reaches outside the expanded set, so mass can never
-    escape silently) and computes the gather only inside it.  Active
-    tiles whose entries are all at most a threshold tied to the
-    Fox–Glynn accuracy budget are {e pruned} (zeroed; their mass is
-    tallied and audited), letting the support shrink behind the
-    front.  The pruned mass is hard-capped at [accuracy / 2] (see
+    as disjoint tile-aligned index segments, {e expands} it each step
+    along the matrix's distinct transition displacements (falling
+    back to the structural bandwidths for unstructured matrices —
+    either way no transition reaches outside the expanded set, so
+    mass can never escape silently) and computes the gather only
+    inside it.  Active tiles whose entries are all at most a threshold
+    tied to the Fox–Glynn accuracy budget are {e pruned} (zeroed;
+    their mass is tallied and audited), letting the support shrink
+    behind the front.  The segment sets live in flat int buffers sized
+    once per sweep from the tile count, so a product allocates a fixed
+    number of words whatever the state count.  The pruned mass is
+    hard-capped at [accuracy / 2] (see
     [Solver_opts.support_threshold] for the split), so an adaptive
     result deviates from the exact full-support kernel by at most the
     skipped mass reported in {!stats.skipped_mass} — and with
@@ -189,6 +197,12 @@ val kernel_bytes : kernel -> int
     displacement set.  Excludes the shared worker pool.  Feeds the
     byte-budgeted session cache's accounting. *)
 
+val tile_width : int -> int
+(** [tile_width n] is the width of the tile grid the adaptive support
+    of an [n]-state sweep is aligned to: every support segment starts
+    on a multiple of it and ends on one or at [n], and the pruner never
+    keeps a tile that holds no nonzero. *)
+
 val solve :
   ?opts:Solver_opts.t ->
   Generator.t ->
@@ -249,6 +263,29 @@ val multi_measure_sweep :
     at the following step.  Raises [Invalid_argument] if a [resume]
     snapshot disagrees with the sweep on state count, measure count,
     step range, or carries a negative/NaN skipped mass. *)
+
+val multi_measure_series :
+  ?opts:Solver_opts.t ->
+  ?buffers:float array * float array ->
+  ?kernel:kernel ->
+  ?progress:sweep_progress Batlife_numerics.Progress.t ->
+  Generator.t ->
+  alpha:float array ->
+  times:float array ->
+  windows:Batlife_numerics.Poisson.t array ->
+  measures:(float array -> float) array ->
+  float array array * stats
+(** The engine of {!multi_measure_sweep} without its final fold:
+    [series.(j).(m)] is measure [j] on the step-[m] iterate, for
+    [m] up to the largest right edge of [windows] (constant after
+    [stats.converged_at]), and the result for measure [j] at
+    [times.(i)] is [Poisson.expect windows.(i) series.(j)], bitwise
+    what {!multi_measure_sweep} returns.  For a caller that needs only
+    some (measure, time) pairs — the session layer, whose
+    registrations each ask for their own functionals at their own
+    times — and folds just those.  Validation, guards, hooks, errors
+    and the Telemetry span are those of {!multi_measure_sweep} (the
+    errors and the span carry its name). *)
 
 val measure_sweep :
   ?opts:Solver_opts.t ->

@@ -108,6 +108,16 @@ let fold t ~init ~f =
   done;
   !acc
 
+let expect t (xs : float array) =
+  if Array.length xs <= t.right then
+    invalid_arg "Poisson.expect: series shorter than the window";
+  let ws = t.weights and left = t.left in
+  let acc = ref 0. in
+  for i = 0 to Array.length ws - 1 do
+    acc := !acc +. (Array.unsafe_get ws i *. Array.unsafe_get xs (left + i))
+  done;
+  !acc
+
 let total t = Array.fold_left ( +. ) 0. t.weights
 
 let cdf_complement t n =

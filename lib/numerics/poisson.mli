@@ -35,6 +35,14 @@ val fold : t -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
 (** Fold over the retained [(n, weight)] pairs in increasing order of
     [n]. *)
 
+val expect : t -> float array -> float
+(** [expect w xs] is [sum_n weight(n) *. xs.(n)] over the retained
+    [n], summed in increasing order of [n] — the Poisson-weighted value
+    of a per-step series, the fold every uniformisation result is.  A
+    monomorphic loop over the weights: no closure, no boxed
+    accumulator.  Raises [Invalid_argument] if [xs] does not reach
+    [right]. *)
+
 val total : t -> float
 (** Sum of the retained weights (1 up to rounding, after
     renormalisation). *)

@@ -77,20 +77,22 @@ let retryable = function
    owned by their share, idempotently — re-running the share overwrites
    the same outputs with the same values, so a recovered section is
    bitwise identical to an undisturbed one.  [retried] counts failed
-   attempts for the caller's post-section diagnostic. *)
+   attempts for the caller's post-section diagnostic.  A loop rather
+   than a recursive closure, so an undisturbed share allocates
+   nothing. *)
 let supervised_share ~retried f w =
   let retries = Atomic.get section_retries_cell in
-  let rec exec attempt =
+  let attempt = ref 0 and finished = ref false in
+  while not !finished do
     match
       Fi.inject fi_crash;
       f w
     with
-    | () -> ()
-    | exception e when attempt < retries && retryable e ->
+    | () -> finished := true
+    | exception e when !attempt < retries && retryable e ->
         Atomic.incr retried;
-        exec (attempt + 1)
-  in
-  exec 0
+        incr attempt
+  done
 
 let latency_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10.; 100. |]
@@ -161,88 +163,94 @@ let create ~jobs =
     Domains { jobs; shared; submit = Mutex.create (); domains; live = true }
   end
 
-let run_inline jobs f =
-  for w = 0 to jobs - 1 do
-    f w
-  done
+(* Recorded on the caller's domain after the section, so the note
+   lands in the caller's Diag capture (if any) exactly once — the event
+   stream is identical for every job count even though which share
+   crashed is scheduling-dependent. *)
+let note_retries retried =
+  let r = Atomic.get retried in
+  if r > 0 then begin
+    Telemetry.add c_supervised r;
+    Diag.record ~fallback:true ~origin:"Pool"
+      (Printf.sprintf
+         "supervised section: re-executed crashed share(s) after %d failed \
+          attempt%s"
+         r
+         (if r = 1 then "" else "s"))
+  end
+
+let runs_inline = function
+  | Sequential -> true
+  | Domains _ -> !(Domain.DLS.get in_section)
+
+let run_inline ?(supervise = false) t f =
+  let shares = size t in
+  (match t with
+  | Domains _ when !(Domain.DLS.get in_section) ->
+      (* Nested section: the pool is busy with the enclosing one. *)
+      Telemetry.incr c_nested_inline
+  | Sequential | Domains _ -> ());
+  if supervise then begin
+    let retried = Atomic.make 0 in
+    for w = 0 to shares - 1 do
+      supervised_share ~retried f w
+    done;
+    note_retries retried
+  end
+  else
+    for w = 0 to shares - 1 do
+      f w
+    done
 
 let run ?(supervise = false) t f =
-  let retried = Atomic.make 0 in
-  let f = if supervise then supervised_share ~retried f else f in
-  (* Recorded on the caller's domain after the section, so the note
-     lands in the caller's Diag capture (if any) exactly once — the
-     event stream is identical for every job count even though which
-     share crashed is scheduling-dependent. *)
-  let note_retries () =
-    let r = Atomic.get retried in
-    if r > 0 then begin
-      Telemetry.add c_supervised r;
-      Diag.record ~fallback:true ~origin:"Pool"
-        (Printf.sprintf
-           "supervised section: re-executed crashed share(s) after %d failed \
-            attempt%s"
-           r
-           (if r = 1 then "" else "s"))
-    end
-  in
   match t with
-  | Sequential ->
-      f 0;
-      note_retries ()
-  | Domains d ->
+  | Domains d when not (runs_inline t) ->
+      if not d.live then invalid_arg "Pool.run: pool was shut down";
+      let retried = Atomic.make 0 in
+      let f = if supervise then supervised_share ~retried f else f in
+      Telemetry.incr c_sections;
+      let section_start =
+        if Telemetry.enabled () then Telemetry.now_ns () else 0L
+      in
+      Mutex.lock d.submit;
+      let s = d.shared in
+      Mutex.lock s.mutex;
+      s.task <- Some f;
+      s.generation <- s.generation + 1;
+      s.pending <- d.jobs - 1;
+      s.failures <- [];
+      Condition.broadcast s.start;
+      Mutex.unlock s.mutex;
+      (* The calling domain is worker 0 for the section's duration;
+         flagging it routes nested [run]s to the inline path. *)
       let flag = Domain.DLS.get in_section in
-      if !flag then begin
-        (* Nested section: the pool is busy with the enclosing one. *)
-        Telemetry.incr c_nested_inline;
-        run_inline d.jobs f;
-        note_retries ()
-      end
-      else begin
-        if not d.live then invalid_arg "Pool.run: pool was shut down";
-        Telemetry.incr c_sections;
-        let section_start =
-          if Telemetry.enabled () then Telemetry.now_ns () else 0L
-        in
-        Mutex.lock d.submit;
-        let s = d.shared in
-        Mutex.lock s.mutex;
-        s.task <- Some f;
-        s.generation <- s.generation + 1;
-        s.pending <- d.jobs - 1;
-        s.failures <- [];
-        Condition.broadcast s.start;
-        Mutex.unlock s.mutex;
-        (* The calling domain is worker 0 for the section's duration;
-           flagging it routes nested [run]s to the inline path. *)
-        flag := true;
-        let caller_failure =
-          match f 0 with
-          | () -> None
-          | exception e -> Some (0, e, Printexc.get_raw_backtrace ())
-        in
-        flag := false;
-        Mutex.lock s.mutex;
-        while s.pending > 0 do
-          Condition.wait s.finished s.mutex
-        done;
-        let failures = s.failures in
-        s.task <- None;
-        Mutex.unlock s.mutex;
-        Mutex.unlock d.submit;
-        let failures =
-          match caller_failure with
-          | Some c -> c :: failures
-          | None -> failures
-        in
-        if Telemetry.enabled () then
-          Telemetry.observe h_section (seconds_since section_start);
-        note_retries ();
-        match
-          List.sort (fun (a, _, _) (b, _, _) -> compare a b) failures
-        with
-        | [] -> ()
-        | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
-      end
+      flag := true;
+      let caller_failure =
+        match f 0 with
+        | () -> None
+        | exception e -> Some (0, e, Printexc.get_raw_backtrace ())
+      in
+      flag := false;
+      Mutex.lock s.mutex;
+      while s.pending > 0 do
+        Condition.wait s.finished s.mutex
+      done;
+      let failures = s.failures in
+      s.task <- None;
+      Mutex.unlock s.mutex;
+      Mutex.unlock d.submit;
+      let failures =
+        match caller_failure with
+        | Some c -> c :: failures
+        | None -> failures
+      in
+      if Telemetry.enabled () then
+        Telemetry.observe h_section (seconds_since section_start);
+      note_retries retried;
+      (match List.sort (fun (a, _, _) (b, _, _) -> compare a b) failures with
+      | [] -> ()
+      | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt)
+  | Sequential | Domains _ -> run_inline ~supervise t f
 
 let shutdown t =
   match t with
@@ -272,21 +280,25 @@ let parallel_for t ~lo ~hi f =
     end
   end
 
-let run_chunks ?(supervise = false) t bounds f =
-  let k = Array.length bounds in
-  if k > 0 then
+let run_chunks ?(supervise = false) t bounds ~count f =
+  if count < 0 || 2 * count > Array.length bounds then
+    invalid_arg "Pool.run_chunks: chunk count";
+  if count > 0 then
     match t with
     | Sequential ->
         run ~supervise Sequential (fun _ ->
-            Array.iter (fun (lo, hi) -> if lo < hi then f ~lo ~hi) bounds)
+            for i = 0 to count - 1 do
+              let lo = bounds.(2 * i) and hi = bounds.((2 * i) + 1) in
+              if lo < hi then f ~lo ~hi
+            done)
     | Domains d ->
         run ~supervise t (fun w ->
             (* Chunk i is owned by worker [i mod jobs]: a fixed map, so
                every output location has exactly one writer no matter
                how the domains are scheduled. *)
             let i = ref w in
-            while !i < k do
-              let lo, hi = bounds.(!i) in
+            while !i < count do
+              let lo = bounds.(2 * !i) and hi = bounds.((2 * !i) + 1) in
               if lo < hi then f ~lo ~hi;
               i := !i + d.jobs
             done)

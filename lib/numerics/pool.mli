@@ -63,14 +63,38 @@ val parallel_for : t -> lo:int -> hi:int -> (lo:int -> hi:int -> unit) -> unit
     index belongs to exactly one chunk. *)
 
 val run_chunks :
-  ?supervise:bool -> t -> (int * int) array -> (lo:int -> hi:int -> unit) -> unit
-(** [run_chunks t bounds f] executes [f] on every non-empty [(lo, hi)]
-    range of [bounds]; chunk [i] is always executed by worker
-    [i mod size t], so ownership of output ranges is a fixed function
-    of the partition.  Use with {!Sparse.nnz_balanced_partition} for a
+  ?supervise:bool ->
+  t ->
+  int array ->
+  count:int ->
+  (lo:int -> hi:int -> unit) ->
+  unit
+(** [run_chunks t bounds ~count f] executes [f] on every non-empty
+    chunk [\[bounds.(2i), bounds.(2i+1))], [i < count] — the bounds
+    live in one flat int buffer, so a caller can reuse it across
+    sections.  Chunk [i] is always executed by worker [i mod size t],
+    so ownership of output ranges is a fixed function of the
+    partition.  Use with {!Sparse.nnz_balanced_partition} for a
     load-balanced deterministic matrix kernel.  [supervise] as in
     {!run} (the uniformisation kernel passes it: a worker lost
-    mid-product re-runs its partition instead of killing the sweep). *)
+    mid-product re-runs its partition instead of killing the sweep).
+    Raises [Invalid_argument] unless [0 <= 2 * count <= Array.length
+    bounds]. *)
+
+val runs_inline : t -> bool
+(** Whether a section issued now would run on the calling domain: true
+    for the sequential pool and inside a share of another section (the
+    nesting rule above). *)
+
+val run_inline : ?supervise:bool -> t -> (int -> unit) -> unit
+(** [run_inline t f] executes [f 0 .. f (size t - 1)] one after
+    another on the calling domain, as {!run} does on the sequential
+    pool or inside another section, with the same supervision and
+    exception rules: every supervised share consults [pool.crash]
+    once, so a caller that runs a section inline because it is too
+    small to repay a fork-join keeps the fault plan's consultation
+    count of a dispatched section.  Allocates a fixed few words
+    whatever the shares do. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f xs] maps [f] over [xs] with dynamic load balancing

@@ -259,7 +259,7 @@ let c_supervised = Telemetry.counter "pool.supervised_retries"
 let supervision_at_jobs jobs =
   let pool = Pool.get ~jobs in
   let n = 64 in
-  let chunks = [| (0, 16); (16, 32); (32, 48); (48, 64) |] in
+  let chunks = [| 0; 16; 16; 32; 32; 48; 48; 64 |] in
   let reference = Array.init n (fun i -> float_of_int (i * i)) in
   let dst = Array.make n 0. in
   let fill ~lo ~hi =
@@ -279,7 +279,7 @@ let supervision_at_jobs jobs =
                consults the site just once per (re)execution. *)
             Fault.with_sites
               [ ("pool.crash", 0, 2) ]
-              (fun () -> Pool.run_chunks ~supervise:true pool chunks fill))
+              (fun () -> Pool.run_chunks ~supervise:true pool chunks ~count:4 fill))
       in
       check_true
         (Printf.sprintf "jobs=%d: retried result is bitwise identical" jobs)
@@ -310,7 +310,8 @@ let test_pool_supervision_exhausted () =
           [ ("pool.crash", 0, 50) ]
           (fun () ->
             Pool.run_chunks ~supervise:true pool
-              [| (0, 4); (4, 8) |]
+              [| 0; 4; 4; 8 |]
+              ~count:2
               (fun ~lo ~hi ->
                 for i = lo to hi - 1 do
                   dst.(i) <- 1.
@@ -363,6 +364,28 @@ let test_kernel_injection_recovers_bitwise () =
       check_int (site ^ ": one escalation note") 1
         (List.length (verify_events events)))
     [ "transient.step_nan"; "transient.step_overflow" ]
+
+(* The same supervision inside a sweep: every product consults
+   [pool.crash] once per share, whether it runs inline or dispatched,
+   so a crash plan lands mid-sweep at every job count and the retried
+   products leave the curve bitwise clean. *)
+let test_pool_crash_inside_sweep () =
+  let model = fig7_model () in
+  let clean = Lifetime.cdf ~delta:100. ~times:small_times model in
+  Pool.set_section_retries 2;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_section_retries 0)
+    (fun () ->
+      let before = Telemetry.value c_supervised in
+      let curve =
+        Fault.with_sites
+          [ ("pool.crash", 40, 2) ]
+          (fun () -> Lifetime.cdf ~delta:100. ~times:small_times model)
+      in
+      check_true "crashed products retried inside the sweep"
+        (Telemetry.value c_supervised - before > 0);
+      check_true "sweep with retried products is bitwise clean"
+        (bits curve = bits clean))
 
 let test_kernel_injection_rung2_close () =
   let model = fig7_model () in
@@ -470,6 +493,7 @@ let suite =
       test_pool_supervision_exhausted;
     case "pool supervision: cancellation not retried"
       test_pool_supervision_never_retries_cancelled;
+    case "pool supervision inside a sweep" test_pool_crash_inside_sweep;
     slow_case "kernel injection: rung-1 recovery bitwise"
       test_kernel_injection_recovers_bitwise;
     slow_case "kernel injection: rung-2 recovery close"

@@ -32,7 +32,8 @@ let test_run_chunks_ownership () =
   with_pool ~jobs:2 (fun pool ->
       let seen = Array.make 10 (-1) in
       Pool.run_chunks pool
-        [| (0, 3); (3, 3); (3, 7); (7, 10) |]
+        [| 0; 3; 3; 3; 3; 7; 7; 10 |]
+        ~count:4
         (fun ~lo ~hi ->
           for i = lo to hi - 1 do
             seen.(i) <- i
