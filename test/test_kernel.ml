@@ -17,6 +17,9 @@ let onoff_model ~frequency ~capacity ~c ~k =
 
 let fig7_model () = onoff_model ~frequency:1.0 ~capacity:7200. ~c:1. ~k:0.
 
+(* The fig-2 battery: two wells. *)
+let fig2_model () = onoff_model ~frequency:1.0 ~capacity:7200. ~c:0.625 ~k:4.5e-5
+
 let oracle_opts ?jobs () = Solver_opts.make ?jobs ~adaptive_support:false ()
 
 let bits (c : Lifetime.curve) =
@@ -109,26 +112,52 @@ let test_adaptive_stats_and_work () =
     && astats.Transient.skipped_mass
        <= Solver_opts.default.Solver_opts.accuracy /. 2.)
 
-(* Entries outside the adaptive window are exactly 0., so an
-   index-summing measure needs no window awareness: summing the whole
-   vector and summing only inside the reported window agree exactly. *)
+(* The support the sweep reports is the iterate's live support: every
+   entry outside the hull [support_lo, support_hi) is exactly 0., the
+   hull is tile-aligned, and its first and last tiles each hold a
+   nonzero (the pruner never keeps an all-zero tile).  The final
+   iterate comes from the sweep's own progress snapshot, so this
+   compares two independent outputs of the kernel. *)
 let test_outside_window_exact_zero () =
   let d = Discretized.build ~delta:100. (fig7_model ()) in
   let g = d.Discretized.generator in
   let alpha = d.Discretized.alpha in
-  let witness = ref true in
-  let measure v =
-    let n = Array.length v in
-    let lo = ref 0 and hi = ref n in
-    while !lo < n && v.(!lo) = 0. do incr lo done;
-    while !hi > !lo && v.(!hi - 1) = 0. do decr hi done;
-    (if Vector.sum (Array.sub v 0 !lo) <> 0.
-        || Vector.sum (Array.sub v !hi (n - !hi)) <> 0.
-     then witness := false);
-    Vector.sum v
+  let n = Discretized.n_states d in
+  let last = ref None in
+  let progress =
+    Progress.make ~on_step:(fun ~step:_ ~snapshot -> last := Some snapshot) ()
   in
-  ignore (Transient.measure_sweep g ~alpha ~times:[| 8000. |] ~measure);
-  check_true "iterate exactly zero outside its nonzero extent" !witness
+  let _, stats =
+    Transient.measure_sweep ~progress g ~alpha ~times:[| 8000. |]
+      ~measure:Vector.sum
+  in
+  let v =
+    match !last with
+    | Some snapshot -> (snapshot ()).Transient.sp_vector
+    | None -> Alcotest.fail "the sweep reported no step"
+  in
+  let lo = stats.Transient.support_lo and hi = stats.Transient.support_hi in
+  let tile = Transient.tile_width n in
+  check_true "support hull is a nonempty range of the state space"
+    (0 <= lo && lo < hi && hi <= n);
+  check_true "support hull is tile-aligned"
+    (lo mod tile = 0 && (hi mod tile = 0 || hi = n));
+  Array.iteri
+    (fun i x ->
+      if (i < lo || i >= hi) && x <> 0. then
+        Alcotest.failf "entry %d = %h outside the support [%d, %d)" i x lo hi)
+    v;
+  let holds_nonzero a b =
+    let found = ref false in
+    for i = a to b - 1 do
+      if v.(i) <> 0. then found := true
+    done;
+    !found
+  in
+  check_true "first support tile holds a nonzero"
+    (holds_nonzero lo (Int.min hi (lo + tile)));
+  check_true "last support tile holds a nonzero"
+    (holds_nonzero (Int.max lo ((hi - 1) / tile * tile)) hi)
 
 (* An explicit threshold so absurd that the cap would be unreachable
    scales the cap with it (documented); a negative or non-finite one is
