@@ -27,8 +27,10 @@
     gathering each active segment directly, when the pool would run
     the section inline anyway (jobs = 1, or nested inside another
     section — every product of the query service, which fans batches
-    out with [Pool.map_array]); only the others are row-partitioned
-    into nnz-balanced chunks across the domains.  Both paths are supervised and consult the [pool.crash]
+    out with [Pool.map_array]) or when it touches fewer than 32768
+    nonzeros, where a fork-join costs more than it saves; only larger
+    products are row-partitioned into nnz-balanced chunks across the
+    domains.  Both paths are supervised and consult the [pool.crash]
     fault site once per share.  The per-step vectors are plain
     [float array]s; the CSR streams of [Batlife_numerics.Sparse] they
     are multiplied with are int32/float64 Bigarrays.

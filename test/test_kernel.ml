@@ -159,6 +159,46 @@ let test_outside_window_exact_zero () =
   check_true "last support tile holds a nonzero"
     (holds_nonzero (Int.max lo ((hi - 1) / tile * tile)) hi)
 
+(* Products above the inline cutoff are partitioned and dispatched to
+   the pool: a full-support sweep of the 39k-state fig-2 chain touches
+   every nonzero on every product, so at jobs 2 and 4 each one is a
+   parallel section, and the result must still be bitwise that of
+   jobs 1. *)
+let test_dispatched_products_bitwise () =
+  let d = Discretized.build ~delta:25. (fig2_model ()) in
+  let g = d.Discretized.generator and alpha = d.Discretized.alpha in
+  let q = Transient.resolve_rate g in
+  let times = [| 120. /. q; 240. /. q |] in
+  let coefficients = Array.init (Discretized.n_states d) float_of_int in
+  let measures =
+    [| Vector.sum; (fun v -> Vector.dot coefficients v) |]
+  in
+  let sections = Telemetry.counter "pool.sections" in
+  let run jobs =
+    let before = Telemetry.value sections in
+    let results, stats =
+      Transient.multi_measure_sweep
+        ~opts:(Solver_opts.make ~jobs ~adaptive_support:false ())
+        g ~alpha ~times ~measures
+    in
+    ( Array.map (Array.map Int64.bits_of_float) results,
+      stats.Transient.iterations,
+      Telemetry.value sections - before )
+  in
+  let reference, products, _ = run 1 in
+  check_true "a few hundred products" (products >= 200);
+  List.iter
+    (fun jobs ->
+      let bits, _, dispatched = run jobs in
+      check_true
+        (Printf.sprintf "jobs=%d: every product dispatched (%d sections)" jobs
+           dispatched)
+        (dispatched >= products);
+      check_true
+        (Printf.sprintf "jobs=%d bitwise equal to jobs=1" jobs)
+        (bits = reference))
+    [ 2; 4 ]
+
 (* An explicit threshold so absurd that the cap would be unreachable
    scales the cap with it (documented); a negative or non-finite one is
    rejected up front. *)
@@ -202,6 +242,8 @@ let suite =
       test_adaptive_stats_and_work;
     case "iterate exactly zero outside the window"
       test_outside_window_exact_zero;
+    case "dispatched products bitwise at jobs 1/2/4"
+      test_dispatched_products_bitwise;
     case "support threshold validation" test_threshold_validation;
     case "adaptive checkpoint/resume bitwise" test_adaptive_resume_bitwise;
   ]
