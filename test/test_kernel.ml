@@ -159,6 +159,54 @@ let test_outside_window_exact_zero () =
   check_true "last support tile holds a nonzero"
     (holds_nonzero (Int.max lo ((hi - 1) / tile * tile)) hi)
 
+(* A warm sweep with caller-supplied buffers, kernel and windows
+   allocates a fixed number of minor-heap words per product, whatever
+   the state count: the segment sets live in flat buffers made once
+   per sweep.  Two chains of different size must read the same small
+   figure. *)
+let words_per_product model ~delta =
+  let d = Discretized.build ~delta model in
+  let g = d.Discretized.generator and alpha = d.Discretized.alpha in
+  let n = Discretized.n_states d in
+  let q = Transient.resolve_rate g in
+  let kernel = Transient.make_kernel g in
+  let buffers = (Array.make n 0., Array.make n 0.) in
+  (* Enough steps for the per-sweep setup to wash out. *)
+  let times = [| 700. /. q |] in
+  let windows = [| Poisson.weights (q *. times.(0)) |] in
+  let sweep () =
+    Transient.measure_sweep ~windows ~buffers ~kernel g ~alpha ~times
+      ~measure:Vector.sum
+  in
+  ignore (sweep ());
+  let before = Gc.minor_words () in
+  let _, stats = sweep () in
+  let words = Gc.minor_words () -. before in
+  let products = stats.Transient.iterations in
+  check_true
+    (Printf.sprintf "%d states: at least 500 products (got %d)" n products)
+    (products >= 500);
+  words /. float_of_int products
+
+let test_product_allocation_fixed () =
+  let small = words_per_product (fig7_model ()) ~delta:100. in
+  let twowell =
+    words_per_product
+(fig2_model ()) ~delta:300.
+  in
+  check_true
+    (Printf.sprintf "fig-7 (146 states): %.1f minor words per product <= 64"
+       small)
+    (small <= 64.);
+  check_true
+    (Printf.sprintf "two-well (320 states): %.1f minor words per product <= 64"
+       twowell)
+    (twowell <= 64.);
+  check_true
+    (Printf.sprintf "words per product independent of the state count (%.1f vs %.1f)"
+       small twowell)
+    (Float.abs (small -. twowell) <= 4.)
+
 (* Products above the inline cutoff are partitioned and dispatched to
    the pool: a full-support sweep of the 39k-state fig-2 chain touches
    every nonzero on every product, so at jobs 2 and 4 each one is a
@@ -242,6 +290,8 @@ let suite =
       test_adaptive_stats_and_work;
     case "iterate exactly zero outside the window"
       test_outside_window_exact_zero;
+    case "warm products allocate a fixed few words"
+      test_product_allocation_fixed;
     case "dispatched products bitwise at jobs 1/2/4"
       test_dispatched_products_bitwise;
     case "support threshold validation" test_threshold_validation;
