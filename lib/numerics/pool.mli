@@ -93,8 +93,8 @@ val run_inline : ?supervise:bool -> t -> (int -> unit) -> unit
     exception rules: every supervised share consults [pool.crash]
     once, so a caller that runs a section inline because it is too
     small to repay a fork-join keeps the fault plan's consultation
-    count of a dispatched section.  Allocates a fixed few words
-    whatever the shares do. *)
+    count of a dispatched section.  Adds a fixed few words of its own
+    to whatever the shares allocate. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f xs] maps [f] over [xs] with dynamic load balancing
