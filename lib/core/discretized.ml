@@ -347,7 +347,8 @@ module Session = struct
                   let per_step = series.(!offset + k) in
                   Array.map
                     (fun t ->
-                      Poisson.expect windows.(Hashtbl.find time_index t) per_step)
+                      let w = windows.(Hashtbl.find time_index t) in
+                      Poisson.expect w per_step)
                     r.reg_times);
             r.filled <- true;
             offset := !offset + Array.length r.funcs)

@@ -328,7 +328,8 @@ let make_work ~n ~parts =
   {
     tile;
     marks = Array.make (tiles + 1) 0;
-    spare = Array.make (tiles + 1) 0;
+    (* Room for the one segment of a full support even when n = 0. *)
+    spare = Array.make (Int.max 2 (tiles + 1)) 0;
     chunks = Array.make ((2 * parts) + tiles + 1) 0;
     touched = 0;
     rows = 0;
@@ -389,7 +390,9 @@ let sum_range (v : float array) ~lo ~hi =
 
 (* Whether every |x_i - y_i| on [lo, hi) is at most [tol]: the
    L-infinity convergence test, stopping at the first entry that
-   fails it.  A NaN difference fails it, as a NaN maximum would. *)
+   fails it.  A NaN difference fails it, as a NaN maximum would, and
+   since that maximum starts at [0.], an empty range passes only a
+   tolerance of at least [0.]. *)
 let within_tol (x : float array) (y : float array) ~lo ~hi ~tol =
   let i = ref lo in
   while
@@ -621,7 +624,8 @@ let step_window k w ~src ~dst ~adaptive =
           if share = 0 then gather_segments k ~src ~dst)
     else begin
       let chunks, count =
-        if adaptive then (w.chunks, partition_segs k.k_pt w dst ~parts:k.k_parts)
+        if adaptive then
+          (w.chunks, partition_segs k.k_pt w dst ~parts:k.k_parts)
         else (k.k_partition, Array.length k.k_partition / 2)
       in
       Pool.run_chunks ~supervise:true pool chunks ~count (fun ~lo ~hi ->

@@ -204,53 +204,58 @@ let run_inline ?(supervise = false) t f =
 
 let run ?(supervise = false) t f =
   match t with
-  | Domains d when not (runs_inline t) ->
-      if not d.live then invalid_arg "Pool.run: pool was shut down";
-      let retried = Atomic.make 0 in
-      let f = if supervise then supervised_share ~retried f else f in
-      Telemetry.incr c_sections;
-      let section_start =
-        if Telemetry.enabled () then Telemetry.now_ns () else 0L
-      in
-      Mutex.lock d.submit;
-      let s = d.shared in
-      Mutex.lock s.mutex;
-      s.task <- Some f;
-      s.generation <- s.generation + 1;
-      s.pending <- d.jobs - 1;
-      s.failures <- [];
-      Condition.broadcast s.start;
-      Mutex.unlock s.mutex;
-      (* The calling domain is worker 0 for the section's duration;
-         flagging it routes nested [run]s to the inline path. *)
+  | Sequential -> run_inline ~supervise t f
+  | Domains d ->
       let flag = Domain.DLS.get in_section in
-      flag := true;
-      let caller_failure =
-        match f 0 with
-        | () -> None
-        | exception e -> Some (0, e, Printexc.get_raw_backtrace ())
-      in
-      flag := false;
-      Mutex.lock s.mutex;
-      while s.pending > 0 do
-        Condition.wait s.finished s.mutex
-      done;
-      let failures = s.failures in
-      s.task <- None;
-      Mutex.unlock s.mutex;
-      Mutex.unlock d.submit;
-      let failures =
-        match caller_failure with
-        | Some c -> c :: failures
-        | None -> failures
-      in
-      if Telemetry.enabled () then
-        Telemetry.observe h_section (seconds_since section_start);
-      note_retries retried;
-      (match List.sort (fun (a, _, _) (b, _, _) -> compare a b) failures with
-      | [] -> ()
-      | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt)
-  | Sequential | Domains _ -> run_inline ~supervise t f
+      if !flag then run_inline ~supervise t f
+      else begin
+        if not d.live then invalid_arg "Pool.run: pool was shut down";
+        let retried = Atomic.make 0 in
+        let f = if supervise then supervised_share ~retried f else f in
+        Telemetry.incr c_sections;
+        let section_start =
+          if Telemetry.enabled () then Telemetry.now_ns () else 0L
+        in
+        Mutex.lock d.submit;
+        let s = d.shared in
+        Mutex.lock s.mutex;
+        s.task <- Some f;
+        s.generation <- s.generation + 1;
+        s.pending <- d.jobs - 1;
+        s.failures <- [];
+        Condition.broadcast s.start;
+        Mutex.unlock s.mutex;
+        (* The calling domain is worker 0 for the section's duration;
+           flagging it routes nested [run]s to the inline path. *)
+        flag := true;
+        let caller_failure =
+          match f 0 with
+          | () -> None
+          | exception e -> Some (0, e, Printexc.get_raw_backtrace ())
+        in
+        flag := false;
+        Mutex.lock s.mutex;
+        while s.pending > 0 do
+          Condition.wait s.finished s.mutex
+        done;
+        let failures = s.failures in
+        s.task <- None;
+        Mutex.unlock s.mutex;
+        Mutex.unlock d.submit;
+        let failures =
+          match caller_failure with
+          | Some c -> c :: failures
+          | None -> failures
+        in
+        if Telemetry.enabled () then
+          Telemetry.observe h_section (seconds_since section_start);
+        note_retries retried;
+        match
+          List.sort (fun (a, _, _) (b, _, _) -> compare a b) failures
+        with
+        | [] -> ()
+        | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+      end
 
 let shutdown t =
   match t with

@@ -279,7 +279,8 @@ let supervision_at_jobs jobs =
                consults the site just once per (re)execution. *)
             Fault.with_sites
               [ ("pool.crash", 0, 2) ]
-              (fun () -> Pool.run_chunks ~supervise:true pool chunks ~count:4 fill))
+              (fun () ->
+                Pool.run_chunks ~supervise:true pool chunks ~count:4 fill))
       in
       check_true
         (Printf.sprintf "jobs=%d: retried result is bitwise identical" jobs)

@@ -18,7 +18,8 @@ let onoff_model ~frequency ~capacity ~c ~k =
 let fig7_model () = onoff_model ~frequency:1.0 ~capacity:7200. ~c:1. ~k:0.
 
 (* The fig-2 battery: two wells. *)
-let fig2_model () = onoff_model ~frequency:1.0 ~capacity:7200. ~c:0.625 ~k:4.5e-5
+let fig2_model () =
+  onoff_model ~frequency:1.0 ~capacity:7200. ~c:0.625 ~k:4.5e-5
 
 let oracle_opts ?jobs () = Solver_opts.make ?jobs ~adaptive_support:false ()
 
@@ -203,8 +204,9 @@ let test_product_allocation_fixed () =
        twowell)
     (twowell <= 64.);
   check_true
-    (Printf.sprintf "words per product independent of the state count (%.1f vs %.1f)"
-       small twowell)
+    (Printf.sprintf
+       "words per product independent of the state count (%.1f vs %.1f)" small
+       twowell)
     (Float.abs (small -. twowell) <= 4.)
 
 (* Products above the inline cutoff are partitioned and dispatched to
