@@ -599,16 +599,13 @@ let gather_segments k ~(src : buf) ~(dst : buf) =
    nonzeros and active rows to [w]'s tallies. *)
 let step_window k w ~src ~dst ~adaptive =
   Telemetry.incr c_products;
-  let ncover =
-    if adaptive then dilate_segs k w src
-    else begin
-      w.spare.(0) <- 0;
-      w.spare.(1) <- k.k_states;
-      1
-    end
-  in
-  zero_stale dst ~cover:w.spare ~ncover;
-  install w dst ncover;
+  (* A full-support sweep keeps [\[0, n)] on both vectors throughout. *)
+  if adaptive then begin
+    let ncover = dilate_segs k w src in
+    zero_stale dst ~cover:w.spare ~ncover;
+    install w dst ncover
+  end;
+  let ncover = dst.nsegs in
   let touched = ref 0 and rows = ref 0 in
   for s = 0 to ncover - 1 do
     let lo = dst.segs.(2 * s) and hi = dst.segs.((2 * s) + 1) in
