@@ -247,9 +247,10 @@ val multi_measure_sweep :
     entry of [times] (they must have been computed for the same [q]
     and [accuracy] — the session cache uses {!resolve_rate});
     [buffers] supplies the two length-[n] working vectors so repeated
-    sweeps are allocation-free apart from the result matrix (the first
-    is seeded with a copy of [alpha]; [alpha] itself is never
-    written); [kernel] supplies a prebuilt stepping kernel (from
+    sweeps allocate no state-sized array — only the result matrix and
+    the segment buffers, a few ints per tile of the support grid — and
+    each product a fixed few words (the first buffer is seeded with a
+    copy of [alpha]; [alpha] itself is never written); [kernel] supplies a prebuilt stepping kernel (from
     {!make_kernel}) so repeated sweeps skip the per-call transpose.
     Raises [Invalid_argument] if [windows]/[buffers] have the wrong
     length, or if [kernel] was prepared for a different state count or

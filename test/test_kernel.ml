@@ -191,10 +191,7 @@ let words_per_product model ~delta =
 
 let test_product_allocation_fixed () =
   let small = words_per_product (fig7_model ()) ~delta:100. in
-  let twowell =
-    words_per_product
-(fig2_model ()) ~delta:300.
-  in
+  let twowell = words_per_product (fig2_model ()) ~delta:300. in
   check_true
     (Printf.sprintf "fig-7 (146 states): %.1f minor words per product <= 64"
        small)
@@ -220,9 +217,7 @@ let test_dispatched_products_bitwise () =
   let q = Transient.resolve_rate g in
   let times = [| 120. /. q; 240. /. q |] in
   let coefficients = Array.init (Discretized.n_states d) float_of_int in
-  let measures =
-    [| Vector.sum; (fun v -> Vector.dot coefficients v) |]
-  in
+  let measures = [| Vector.sum; (fun v -> Vector.dot coefficients v) |] in
   let sections = Telemetry.counter "pool.sections" in
   let run jobs =
     let before = Telemetry.value sections in
