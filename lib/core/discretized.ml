@@ -92,13 +92,10 @@ let n_states t = Grid.total_states t.grid
 
 let nnz t = Generator.nnz t.generator
 
-let absorbed_mass grid (v : float array) =
-  let block = Grid.absorbing_block_size grid in
-  let acc = ref 0. in
-  for idx = 0 to block - 1 do
-    acc := !acc +. Array.unsafe_get v idx
-  done;
-  !acc
+(* The lifetime CDF's functional: the mass of the leading j1 = 0
+   block. *)
+let absorbed_mass grid =
+  Transient.Sum { lo = 0; hi = Grid.absorbing_block_size grid; stride = 1 }
 
 (* Lower interval end of an available-charge level: the representative
    the expanded generator uses; the empty level contributes charge 0. *)
@@ -158,7 +155,7 @@ module Session = struct
      funcs-by-times result block, filled by the shared sweep. *)
   type reg = {
     reg_times : float array;
-    funcs : (float array -> float) array;
+    funcs : Transient.measure array;
     mutable out : float array array;
     mutable filled : bool;
   }
@@ -179,11 +176,6 @@ module Session = struct
     mutable queue : reg list;  (** pending registrations, newest first *)
     mutable last_stats : Transient.stats option;
     mutable swept : int;
-    (* Lazily-built aggregation structures shared by all marginal
-       queries of the session. *)
-    mutable charge_buckets : int array array option;
-    mutable mode_buckets : int array array option;
-    mutable charge_coefficients : float array option;
   }
 
   type 'a pending = {
@@ -208,9 +200,6 @@ module Session = struct
       queue = [];
       last_stats = None;
       swept = 0;
-      charge_buckets = None;
-      mode_buckets = None;
-      charge_coefficients = None;
     }
 
   let uniformisation_rate s = s.rate
@@ -219,9 +208,8 @@ module Session = struct
 
   (* Resident-byte estimate of everything the session (and the
      Discretized.t it pins) keeps alive: the generator CSR, the initial
-     distribution, the kernel transpose, the sweep buffers, the cached
-     Fox–Glynn windows and the lazily-built aggregation structures.
-     An estimate, not an accounting: boxing and hashtable overhead are
+     distribution, the kernel transpose, the sweep buffers and the
+     cached Fox–Glynn windows.  An estimate, not an accounting: boxing and hashtable overhead are
      approximated with small per-entry constants.  Monotone in what
      has actually been built, so a fresh session is cheap and the
      byte-budgeted cache re-reads it after each use. *)
@@ -242,15 +230,7 @@ module Session = struct
           acc + (Array.length w.Poisson.weights * 8) + 64)
         s.fox_glynn 0
     in
-    let buckets = function
-      | None -> 0
-      | Some b -> Array.fold_left (fun acc a -> acc + (Array.length a * 8)) 0 b
-    in
-    let coefficients =
-      match s.charge_coefficients with None -> 0 | Some c -> Array.length c * 8
-    in
     generator + alpha + kernel + buffers + windows
-    + buckets s.charge_buckets + buckets s.mode_buckets + coefficients
 
   let window s t =
     match Hashtbl.find_opt s.fox_glynn t with
@@ -325,7 +305,25 @@ module Session = struct
         in
         let time_index = Hashtbl.create (Array.length grid) in
         Array.iteri (fun i t -> Hashtbl.replace time_index t i) grid;
-        let measures = Array.concat (List.map (fun r -> r.funcs) regs) in
+        (* Equal functionals share one series: [slots] maps each
+           registration's functionals to their series. *)
+        let series_of = Hashtbl.create 32 and distinct = ref [] in
+        let slots =
+          List.map
+            (fun r ->
+              Array.map
+                (fun m ->
+                  match Hashtbl.find_opt series_of m with
+                  | Some j -> j
+                  | None ->
+                      let j = Hashtbl.length series_of in
+                      Hashtbl.add series_of m j;
+                      distinct := m :: !distinct;
+                      j)
+                r.funcs)
+            regs
+        in
+        let measures = Array.of_list (List.rev !distinct) in
         let windows = Array.map (window s) grid in
         let buffers = scratch s in
         let opts =
@@ -339,20 +337,19 @@ module Session = struct
         in
         (* Fold only the (functional, time) pairs each registration
            asked for, not the whole functionals-by-grid product. *)
-        let offset = ref 0 in
-        List.iter
-          (fun r ->
+        List.iter2
+          (fun r slots ->
             r.out <-
-              Array.init (Array.length r.funcs) (fun k ->
-                  let per_step = series.(!offset + k) in
+              Array.map
+                (fun j ->
                   Array.map
                     (fun t ->
                       let w = windows.(Hashtbl.find time_index t) in
-                      Poisson.expect w per_step)
-                    r.reg_times);
-            r.filled <- true;
-            offset := !offset + Array.length r.funcs)
-          regs;
+                      Poisson.expect w series.(j))
+                    r.reg_times)
+                slots;
+            r.filled <- true)
+          regs slots;
         s.last_stats <- Some stats;
         s.swept <- s.swept + 1;
         stats
@@ -372,79 +369,6 @@ module Session = struct
     if not p.reg.filled then ignore (run p.s : Transient.stats);
     p.finish p.reg.out
 
-  (* --- functional builders ---------------------------------------- *)
-
-  (* Under the adaptive kernel, indices outside the support window
-     read exactly 0., so bucket sums need no window awareness.  Every
-     index comes from [Grid.index], inside [\[0, n_states)]. *)
-  let sum_over (indices : int array) (v : float array) =
-    let acc = ref 0. in
-    for k = 0 to Array.length indices - 1 do
-      acc := !acc +. Array.unsafe_get v (Array.unsafe_get indices k)
-    done;
-    !acc
-
-  (* Partition the flat state space by available-charge level: bucket
-     j1 holds every (state, j1, j2) index.  The buckets cover each
-     index exactly once, so evaluating all of them costs one pass over
-     the distribution per step — the same order as the vecmat product
-     itself. *)
-  let charge_buckets s =
-    match s.charge_buckets with
-    | Some b -> b
-    | None ->
-        let grid = s.d.grid in
-        let per = grid.Grid.levels2 * grid.Grid.n_workload in
-        let b =
-          Array.init grid.Grid.levels1 (fun j1 ->
-              let idxs = Array.make per 0 in
-              let k = ref 0 in
-              for j2 = 0 to grid.Grid.levels2 - 1 do
-                for i = 0 to grid.Grid.n_workload - 1 do
-                  idxs.(!k) <- Grid.index grid ~state:i ~j1 ~j2;
-                  incr k
-                done
-              done;
-              idxs)
-        in
-        s.charge_buckets <- Some b;
-        b
-
-  let mode_buckets s =
-    match s.mode_buckets with
-    | Some b -> b
-    | None ->
-        let grid = s.d.grid in
-        let per = grid.Grid.levels1 * grid.Grid.levels2 in
-        let b =
-          Array.init grid.Grid.n_workload (fun state ->
-              let idxs = Array.make per 0 in
-              let k = ref 0 in
-              for j1 = 0 to grid.Grid.levels1 - 1 do
-                for j2 = 0 to grid.Grid.levels2 - 1 do
-                  idxs.(!k) <- Grid.index grid ~state ~j1 ~j2;
-                  incr k
-                done
-              done;
-              idxs)
-        in
-        s.mode_buckets <- Some b;
-        b
-
-  let charge_coefficients s =
-    match s.charge_coefficients with
-    | Some c -> c
-    | None ->
-        let grid = s.d.grid in
-        let c = Vector.create (n_states s.d) in
-        Array.iteri
-          (fun j1 idxs ->
-            let charge = level_charge grid j1 in
-            Array.iter (fun idx -> c.(idx) <- charge) idxs)
-          (charge_buckets s);
-        s.charge_coefficients <- Some c;
-        c
-
   (* --- queries ------------------------------------------------------ *)
 
   let measure s ~times ~measure =
@@ -453,40 +377,64 @@ module Session = struct
   let empty_probability s ~times =
     measure s ~times ~measure:(absorbed_mass s.d.grid)
 
+  (* Every functional below is built from the grid's shape.  The flat
+     layout is j1-major with the workload state fastest, so the
+     [levels2 x K] states of charge level j1 form the contiguous slab
+     [\[j1 slab, (j1 + 1) slab)], and workload state m recurs with
+     stride K from index m. *)
+  let slab grid = grid.Grid.levels2 * grid.Grid.n_workload
+
   let available_charge_marginal s ~time =
     let grid = s.d.grid in
-    let funcs = Array.map sum_over (charge_buckets s) in
+    let slab = slab grid in
+    let funcs =
+      Array.init grid.Grid.levels1 (fun j1 ->
+          Transient.Sum { lo = j1 * slab; hi = (j1 + 1) * slab; stride = 1 })
+    in
     register s ~times:[| time |] ~funcs (fun out ->
         Array.mapi (fun j1 per_time -> (level_charge grid j1, per_time.(0))) out)
 
   let mode_marginal s ~time =
-    let funcs = Array.map sum_over (mode_buckets s) in
+    let n = n_states s.d and k = s.d.grid.Grid.n_workload in
+    let funcs =
+      Array.init k (fun mode -> Transient.Sum { lo = mode; hi = n; stride = k })
+    in
     register s ~times:[| time |] ~funcs (fun out ->
         Array.map (fun per_time -> per_time.(0)) out)
 
   let expected_available_charge s ~time =
-    let coefficients = charge_coefficients s in
-    let func (v : float array) =
-      let acc = ref 0. in
-      for i = 0 to Array.length v - 1 do
-        acc := !acc +. (coefficients.(i) *. Array.unsafe_get v i)
-      done;
-      !acc
+    let grid = s.d.grid in
+    let func =
+      Transient.Weighted
+        {
+          slab = slab grid;
+          weights = Array.init grid.Grid.levels1 (level_charge grid);
+        }
     in
     register s ~times:[| time |] ~funcs:[| func |] (fun out -> out.(0).(0))
 
+  (* [Grid.level_value] grows with j1, so the levels whose value
+     reaches [min_charge] form a suffix [\[j1min, levels1)] of the
+     non-empty levels.  The test stays [>=], so a NaN threshold
+     selects nothing. *)
   let joint_probability s ~time ~mode ~min_charge =
     let grid = s.d.grid in
     check_mode grid mode;
-    let indices = ref [] in
-    for j1 = grid.Grid.levels1 - 1 downto 1 do
-      if Grid.level_value grid (j1 - 1) >= min_charge then
-        for j2 = grid.Grid.levels2 - 1 downto 0 do
-          indices := Grid.index grid ~state:mode ~j1 ~j2 :: !indices
-        done
-    done;
-    let indices = Array.of_list !indices in
-    register s ~times:[| time |] ~funcs:[| sum_over indices |] (fun out ->
-        out.(0).(0))
+    let rec first j1 =
+      if j1 < grid.Grid.levels1
+         && not (Grid.level_value grid (j1 - 1) >= min_charge)
+      then first (j1 + 1)
+      else j1
+    in
+    let n = n_states s.d in
+    let func =
+      Transient.Sum
+        {
+          lo = Int.min n ((first 1 * slab grid) + mode);
+          hi = n;
+          stride = grid.Grid.n_workload;
+        }
+    in
+    register s ~times:[| time |] ~funcs:[| func |] (fun out -> out.(0).(0))
 end
 

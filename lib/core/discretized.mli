@@ -95,14 +95,18 @@ val expected_lifetime : ?opts:Solver_opts.t -> t -> float
     - the parallel stepping kernel of {!Transient.make_kernel} — the
       CSR transpose of the uniformised matrix and its nnz-balanced row
       partition — so the transpose is paid once per session rather
-      than once per sweep;
-    - the index partitions behind the marginal queries.
+      than once per sweep.
 
-    Queries {e register} linear functionals and return typed
-    {!Session.pending} handles; {!Session.run} (or the first
-    {!Session.get}) flushes every pending registration through one
+    Queries {e register} linear functionals — {!Transient.measure}
+    values built from the grid's shape when the query is registered
+    (the CDF is the mass of the leading [j1 = 0] slab, a charge level
+    is a slab, a workload state a stride, the expected charge one
+    weight per slab) — and return typed {!Session.pending} handles;
+    {!Session.run} (or the first {!Session.get}) flushes every
+    pending registration through one
     {!Transient.multi_measure_sweep} over the union of their time
-    grids.  Queries registered after a flush simply go into the next
+    grids, and equal functionals registered in one flush share one
+    series.  Queries registered after a flush simply go into the next
     batch — a session never recomputes what it already swept, and
     in-flight guards (mass conservation, NaN detection) apply to the
     shared sweep exactly as they do to individual solves. *)
@@ -144,13 +148,12 @@ module Session : sig
   val measure :
     session ->
     times:float array ->
-    measure:(float array -> float) ->
+    measure:Transient.measure ->
     float array pending
-  (** Escape hatch: any user-supplied linear functional of the
-      transient distribution, evaluated on [times].  The functional
-      reads the sweep's iterate in place (it must not keep or modify
-      it); under the adaptive kernel, entries outside the support
-      window are exactly [0.]. *)
+  (** Any linear functional of the transient distribution over the
+      flat states, evaluated on [times].  A malformed measure (see
+      {!Transient.measure}) raises [Invalid_argument] when its batch
+      is flushed. *)
 
   (** {2 Execution} *)
 
@@ -188,8 +191,7 @@ module Session : sig
   val approx_bytes : session -> int
   (** Estimated resident bytes of the session and the {!t} it pins:
       generator CSR nonzeros, initial distribution, kernel transpose,
-      sweep buffers, cached Fox–Glynn windows and the lazily-built
-      marginal aggregation structures.  Grows as the session warms up
+      sweep buffers and cached Fox–Glynn windows.  Grows as the session warms up
       (kernel build, new windows), so byte-budgeted callers should
       re-read it after each use.  An estimate — per-entry boxing and
       hashtable overhead are approximated by constants. *)

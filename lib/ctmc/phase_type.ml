@@ -133,7 +133,8 @@ let cdf_many ?accuracy d times =
       ~opts:(Solver_opts.make ?accuracy ())
       d.chain ~alpha:(full_alpha d)
       ~times:(Array.map (fun t -> Float.max t 0.) times)
-      ~measure:(fun pi -> pi.(d.absorbing))
+      ~measure:
+        (Transient.Sum { lo = d.absorbing; hi = d.absorbing + 1; stride = 1 })
   in
   Array.mapi (fun i r -> if times.(i) < 0. then 0. else r) results
 

@@ -21,6 +21,10 @@ type sweep_progress = {
   sp_skipped : float;
 }
 
+type measure =
+  | Sum of { lo : int; hi : int; stride : int }
+  | Weighted of { slab : int; weights : float array }
+
 (* Process-wide work counters.  They exist so tests and benchmarks can
    assert "this batch of queries cost exactly one sweep" without
    instrumenting call sites.  They are Telemetry counters now — Atomic
@@ -813,6 +817,73 @@ let check_windows ~where ~times = function
         invalid_arg (where ^ ": windows and times have different lengths");
       Some windows
 
+(* Measures are checked once per sweep, so the readout below can load
+   without bounds checks: a [Sum] has [0 <= lo <= hi <= n] and a
+   positive stride, and a [Weighted] measure has a positive slab and a
+   weight for every slab of the n states. *)
+let check_measures ~where ~n measures =
+  Array.iteri
+    (fun j m ->
+      let reject fmt =
+        Printf.ksprintf
+          (fun s -> invalid_arg (Printf.sprintf "%s: measure %d %s" where j s))
+          fmt
+      in
+      match m with
+      | Sum { lo; hi; stride } ->
+          if lo < 0 || lo > hi || hi > n then
+            reject "sums over [%d, %d), not inside [0, %d)" lo hi n;
+          if stride < 1 then reject "has stride %d < 1" stride
+      | Weighted { slab; weights } ->
+          if slab < 1 then reject "has slab %d < 1" slab;
+          if n > 0 && Array.length weights <= (n - 1) / slab then
+            reject "has %d weights of slab %d for %d states"
+              (Array.length weights) slab n)
+    measures
+
+(* Measure [m] of [b]'s vector, stored at [row.(step)].  Only the live
+   support [\[blo, bhi)] is read: the vector is exactly [0.] outside
+   it, and an exact zero added to a sum that starts at [+0.] changes
+   no bit, so the value is bitwise the ascending sum over the
+   measure's whole index set (for [Weighted], whenever the weights
+   outside the support are finite).  The result goes straight into
+   the series row rather than back across a call, where it would be
+   boxed. *)
+let eval_measure (row : float array) step m b =
+  let v = b.v and blo = b.blo and bhi = b.bhi in
+  let acc = ref 0. in
+  (match m with
+  | Sum { lo; hi; stride } ->
+      let hi = if hi < bhi then hi else bhi in
+      (* The first index of the progression at or above [blo]; a gap
+         reaching past [hi] leaves the sum empty (and never overflows,
+         whatever the stride). *)
+      let first =
+        if lo >= blo then lo
+        else
+          let r = (blo - lo) mod stride in
+          if r = 0 then blo
+          else if stride - r < hi - blo then blo + (stride - r)
+          else hi
+      in
+      if first < hi then
+        for k = 0 to (hi - 1 - first) / stride do
+          acc := !acc +. Array.unsafe_get v (first + (k * stride))
+        done
+  | Weighted { slab; weights } ->
+      (* Slab by slab, each slab's weight loaded once. *)
+      if blo < bhi then
+        for s = blo / slab to (bhi - 1) / slab do
+          let w = Array.unsafe_get weights s in
+          let base = s * slab in
+          let lo = if base > blo then base else blo in
+          let hi = if bhi - base > slab then base + slab else bhi in
+          for i = lo to hi - 1 do
+            acc := !acc +. (w *. Array.unsafe_get v i)
+          done
+        done);
+  Array.unsafe_set row step !acc
+
 (* The batched engine: the sequence v_n = alpha P^n is walked ONCE and
    every registered linear functional is evaluated at every step; each
    (measure, time) result is then a Poisson-weighted scalar sum of the
@@ -865,6 +936,7 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
   let tau, budget_skip = resolve_pruning ~opts ~n_max in
   let tol = opts.Solver_opts.convergence_tol in
   let mass0 = Vector.sum alpha in
+  check_measures ~where ~n measures;
   let k = Array.length measures in
   (* vals.(j).(m) is measure j evaluated on the step-m iterate. *)
   let vals = Array.make_matrix k (n_max + 1) 0. in
@@ -873,20 +945,20 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
   in
   let current = ref v and scratch = ref v' in
   let skipped = ref 0. in
-  let record m v =
+  let record m b =
     for j = 0 to k - 1 do
-      let value = measures.(j) v in
-      if Float.is_nan value then
-        Diag.breakdown ~where "measure returned NaN at uniformisation step %d"
-          m;
-      vals.(j).(m) <- value
+      let row = vals.(j) in
+      eval_measure row m measures.(j) b;
+      if Float.is_nan row.(m) then
+        Diag.breakdown ~where "measure %d is NaN at uniformisation step %d" j
+          m
     done
   in
   let converged_at = ref None in
   let start =
     match resume with
     | None ->
-        record 0 (!current).v;
+        record 0 !current;
         1
     | Some r ->
         if Array.length r.sp_vector <> n then
@@ -955,7 +1027,7 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
     current := !scratch;
     scratch := t;
     guard_iterate ~where ~mass0 ~step:!m ~skipped:!skipped !current;
-    record !m (!current).v;
+    record !m !current;
     if still then converged_at := Some !m;
     (match on_step with
     | Some f ->

@@ -4,9 +4,9 @@
     [pi(t) = sum_n pois(qt; n) (alpha P^n)] with [P = I + Q/q].  The
     module offers the plain solver and a batched evaluation engine:
     the sequence [v_n = alpha P^n] is computed once and any number of
-    user-supplied linear functionals are recorded per step; every
-    [(measure, time)] pair then costs only a Poisson-weighted scalar
-    sum.  This is how a whole battery-lifetime CDF curve — or a CDF
+    linear functionals ({!measure} values) are recorded per step;
+    every [(measure, time)] pair then costs only a Poisson-weighted
+    scalar sum.  This is how a whole battery-lifetime CDF curve — or a CDF
     {e plus} every per-time marginal — is produced from a single
     vector-matrix sweep ({!multi_measure_sweep}, and
     [Batlife_core.Discretized.Session] on top of it).
@@ -139,6 +139,41 @@ type sweep_progress = {
     and never leaves an all-zero tile active, so the stored vector's
     occupied tiles {e are} the live support. *)
 
+(** {1 Measures}
+
+    A measure is a linear functional of the distribution, given as
+    data: the sweep evaluates it itself on every iterate and writes
+    the value straight into the measure's per-step series.  Two shapes
+    cover every functional of a strided flat layout, such as the
+    workload-state-fastest layout of [Batlife_core.Grid]:
+
+    - [Sum { lo; hi; stride }] is [v.(lo) +. v.(lo + stride) +. ...]
+      over the indices below [hi];
+    - [Weighted { slab; weights }] is the sum of
+      [weights.(i / slab) *. v.(i)] over all [n] states, one weight
+      per slab of [slab] consecutive states ([slab = 1] is a plain dot
+      product with [weights]).
+
+    Each sum runs in ascending index order from [+0.], adding
+    [v.(i)] (resp. [w *. v.(i)]) one term at a time.  The sweep reads
+    only the iterate's live support — the index hull outside which
+    every entry is exactly [0.] (all of [\[0, n)] for the full-support
+    kernel) — which skips only exact-zero terms and changes no bit of
+    the result.  A [Weighted] measure's weights are likewise read only
+    over the live support: a non-finite weight on a slab the iterate
+    never reaches does not reach the result.
+
+    Every sweep validates its measures once, raising
+    [Invalid_argument] unless each [Sum] has [0 <= lo <= hi <= n] and
+    [stride >= 1], and each [Weighted] has [slab >= 1] and a weight for
+    every slab of the [n] states.  Measures are plain values: equal
+    measures compare equal, so callers can key and share them (the
+    session layer gives equal functionals of one flush one series). *)
+
+type measure =
+  | Sum of { lo : int; hi : int; stride : int }
+  | Weighted of { slab : int; weights : float array }
+
 (** {1 Work counters}
 
     Process-wide tallies of the sweeps started and the vector-matrix
@@ -226,22 +261,16 @@ val multi_measure_sweep :
   Generator.t ->
   alpha:float array ->
   times:float array ->
-  measures:(float array -> float) array ->
+  measures:measure array ->
   float array array * stats
 (** [multi_measure_sweep g ~alpha ~times ~measures] evaluates
     [sum_n pois(q t; n) measures.(j)(alpha P^n)] for every measure
     [j] and every [t] in [times] (non-negative, not necessarily
     sorted) in a {b single} power sweep; [result.(j).(i)] is measure
     [j] at [times.(i)], and the returned [stats] are shared by all of
-    them.  Each measure must be a linear functional of the
-    distribution (e.g. total mass on a set of states), reading the
-    iterate; under the adaptive kernel, entries outside the support
-    window are exactly [0.], so index-summing measures need no window
-    awareness.  A measure must not keep or modify the array it is
-    given: the sweep overwrites it in place.  When successive [v_n]
-    differ by less than [opts.convergence_tol] in L-infinity, the
-    sweep stops early and the remaining steps are extrapolated as
-    constant.
+    them.  When successive [v_n] differ by less than
+    [opts.convergence_tol] in L-infinity, the sweep stops early and
+    the remaining steps are extrapolated as constant.
 
     [windows] supplies precomputed Fox–Glynn truncations, one per
     entry of [times] (they must have been computed for the same [q]
@@ -249,11 +278,13 @@ val multi_measure_sweep :
     [buffers] supplies the two length-[n] working vectors so repeated
     sweeps allocate no state-sized array — only the result matrix and
     the segment buffers, a few ints per tile of the support grid — and
-    each product a fixed few words (the first buffer is seeded with a
-    copy of [alpha]; [alpha] itself is never written); [kernel] supplies a prebuilt stepping kernel (from
-    {!make_kernel}) so repeated sweeps skip the per-call transpose.
-    Raises [Invalid_argument] if [windows]/[buffers] have the wrong
-    length, or if [kernel] was prepared for a different state count or
+    each product a fixed few words, whatever the number of measures
+    (the first buffer is seeded with a copy of [alpha]; [alpha] itself
+    is never written); [kernel] supplies a prebuilt stepping kernel
+    (from {!make_kernel}) so repeated sweeps skip the per-call
+    transpose.  Raises [Invalid_argument] if a measure is malformed
+    (see {!measure}), if [windows]/[buffers] have the wrong length, or
+    if [kernel] was prepared for a different state count or
     uniformisation rate than the sweep resolves under [opts].
 
     [progress] carries the checkpoint/resume hooks
@@ -276,7 +307,7 @@ val multi_measure_series :
   alpha:float array ->
   times:float array ->
   windows:Batlife_numerics.Poisson.t array ->
-  measures:(float array -> float) array ->
+  measures:measure array ->
   float array array * stats
 (** The engine of {!multi_measure_sweep} without its final fold:
     [series.(j).(m)] is measure [j] on the step-[m] iterate, for
@@ -299,7 +330,7 @@ val measure_sweep :
   Generator.t ->
   alpha:float array ->
   times:float array ->
-  measure:(float array -> float) ->
+  measure:measure ->
   float array * stats
 (** Single-functional convenience over {!multi_measure_sweep}. *)
 

@@ -35,12 +35,9 @@ let build_product (m : Mrm.t) ~budget ~stages =
 
 let exceedance ?accuracy ?(stages = 512) m ~budget ~times =
   let g, alpha, absorbing_start = build_product m ~budget ~stages in
-  let measure (v : float array) =
-    let acc = ref 0. in
-    for idx = absorbing_start to Array.length v - 1 do
-      acc := !acc +. Array.unsafe_get v idx
-    done;
-    !acc
+  let measure =
+    Transient.Sum
+      { lo = absorbing_start; hi = Array.length alpha; stride = 1 }
   in
   let results, _ =
     Transient.measure_sweep

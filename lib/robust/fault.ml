@@ -33,16 +33,6 @@ let transient ~failures f =
       raise (Injected "injected transient fault")
     else f x
 
-let nan_measure_after ~calls measure =
-  if calls < 0 then invalid_arg "Fault.nan_measure_after: negative count";
-  let remaining = ref calls in
-  fun v ->
-    if !remaining = 0 then Float.nan
-    else begin
-      decr remaining;
-      measure v
-    end
-
 let with_sites plans f =
   Fi.reset ();
   List.iter

@@ -1,9 +1,10 @@
 (** Fault injection for tests and the chaos harness.
 
     Two layers live here.  The ad-hoc helpers ({!corrupt_row_sum},
-    {!inject_nan}, {!transient}, {!nan_measure_after}) sabotage a
-    model or callback directly, for unit tests that hold the object in
-    hand.  The {b site registry} ({!Fi}, re-exported from
+    {!inject_nan}, {!transient}) sabotage a model or callback
+    directly, for unit tests that hold the object in hand.  (A NaN
+    measure needs no helper: a [Transient.Weighted] measure with a NaN
+    weight drives the sweep's NaN-measure guard.)  The {b site registry} ({!Fi}, re-exported from
     {!Batlife_numerics.Fi}) is the production-grade layer: named,
     seeded injection points compiled into the hot paths themselves —
     [Atomic_io] write/rename/fsync/short-write, [Checkpoint] load
@@ -48,11 +49,6 @@ val transient : failures:int -> ('a -> 'b) -> 'a -> 'b
     [Batlife_experiments.Par]'s retry-with-backoff: with
     [max_retries >= failures] the fan-out must recover and produce
     results bitwise identical to the fault-free run. *)
-
-val nan_measure_after : calls:int -> ('a -> float) -> 'a -> float
-(** [nan_measure_after ~calls m] behaves like [m] for the first
-    [calls] invocations and returns NaN from then on — for driving the
-    NaN-measure guard of {!Batlife_ctmc.Transient.measure_sweep}. *)
 
 val with_sites : (string * int * int) list -> (unit -> 'a) -> 'a
 (** [with_sites [(site, after, count); ...] f] resets the registry,

@@ -30,6 +30,12 @@ let is_invalid_model = function
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Sweep measures: the probability of state [i], and the total mass of
+   an [n]-state distribution. *)
+let state_mass i = Batlife_ctmc.Transient.Sum { lo = i; hi = i + 1; stride = 1 }
+
+let total_mass n = Batlife_ctmc.Transient.Sum { lo = 0; hi = n; stride = 1 }
+
 let slow_case name f = Alcotest.test_case name `Slow f
 
 let qcheck ?(count = 200) name arbitrary property =

@@ -425,7 +425,7 @@ let test_sweep_stats_expose_audit () =
   let alpha = d.Discretized.alpha in
   let _, stats =
     Transient.measure_sweep g ~alpha ~times:small_times
-      ~measure:Batlife_numerics.Vector.sum
+      ~measure:(total_mass (Discretized.n_states d))
   in
   check_true "mass residual audited and small"
     (stats.Transient.mass_residual >= 0.

@@ -232,10 +232,7 @@ let prop_multi_equals_singles =
       let g = Generator.of_rates ~n:4 rates in
       let alpha = [| 0.4; 0.3; 0.2; 0.1 |] in
       let times = Array.of_list times_list in
-      let measures =
-        Array.init k (fun j ->
-            fun (pi : float array) -> pi.(j))
-      in
+      let measures = Array.init k state_mass in
       let batched, _ = Transient.multi_measure_sweep g ~alpha ~times ~measures in
       Array.for_all Fun.id
         (Array.mapi
@@ -254,7 +251,8 @@ let test_custom_measure_query () =
   let s = Discretized.Session.create d in
   let times = [| 3000.; 9000. |] in
   let total_q =
-    Discretized.Session.measure s ~times ~measure:Batlife_numerics.Vector.sum
+    Discretized.Session.measure s ~times
+      ~measure:(total_mass (Discretized.n_states d))
   in
   let cdf_q = Discretized.Session.empty_probability s ~times:[| 9000. |] in
   let total = Discretized.Session.get total_q in

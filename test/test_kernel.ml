@@ -81,11 +81,11 @@ let test_adaptive_stats_and_work () =
   let times = [| 4000.; 12000. |] in
   let n = Discretized.n_states d in
   let adaptive, astats =
-    Transient.measure_sweep g ~alpha ~times ~measure:Vector.sum
+    Transient.measure_sweep g ~alpha ~times ~measure:(total_mass n)
   in
   let oracle, ostats =
     Transient.measure_sweep ~opts:(oracle_opts ()) g ~alpha ~times
-      ~measure:Vector.sum
+      ~measure:(total_mass n)
   in
   Array.iteri
     (fun i a ->
@@ -130,7 +130,7 @@ let test_outside_window_exact_zero () =
   in
   let _, stats =
     Transient.measure_sweep ~progress g ~alpha ~times:[| 8000. |]
-      ~measure:Vector.sum
+      ~measure:(total_mass n)
   in
   let v =
     match !last with
@@ -160,15 +160,106 @@ let test_outside_window_exact_zero () =
   check_true "last support tile holds a nonzero"
     (holds_nonzero (Int.max lo ((hi - 1) / tile * tile)) hi)
 
+(* The sweep reads each measure over the iterate's live support only.
+   Random functionals on an adaptive sweep of the fig-7 Delta=100
+   chain, whose support is a strict subset of its 146 states that
+   moves as the charge drains: at every step, each value the sweep
+   recorded must be bitwise the ascending sum over the functional's
+   whole index set, computed here on the full iterate. *)
+let fig7_states = 146
+
+let explicit_sum (v : float array) = function
+  | Transient.Sum { lo; hi; stride } ->
+      let acc = ref 0. in
+      if lo < hi then
+        for k = 0 to (hi - 1 - lo) / stride do
+          acc := !acc +. v.(lo + (k * stride))
+        done;
+      !acc
+  | Transient.Weighted { slab; weights } ->
+      let acc = ref 0. in
+      Array.iteri (fun i x -> acc := !acc +. (weights.(i / slab) *. x)) v;
+      !acc
+
+let measure_arb n =
+  let open QCheck.Gen in
+  let sum =
+    let* lo = int_range 0 n in
+    let* hi = int_range lo n in
+    let+ stride =
+      frequency
+        [ (3, int_range 1 4); (1, int_range 5 (2 * n)); (1, return max_int) ]
+    in
+    Transient.Sum { lo; hi; stride }
+  in
+  let weighted =
+    let* slab = frequency [ (2, int_range 1 4); (1, int_range 5 (n + 8)) ] in
+    let+ weights =
+      array_repeat (((n - 1) / slab) + 1) (float_range (-10.) 10.)
+    in
+    Transient.Weighted { slab; weights }
+  in
+  let print = function
+    | Transient.Sum { lo; hi; stride } ->
+        Printf.sprintf "Sum { lo = %d; hi = %d; stride = %d }" lo hi stride
+    | Transient.Weighted { slab; weights } ->
+        Printf.sprintf "Weighted { slab = %d; %d weights }" slab
+          (Array.length weights)
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print)
+    (list_size (int_range 1 6) (oneof [ sum; weighted ]))
+
+let prop_readout_over_live_support =
+  qcheck ~count:25 "measures read over the live support, bitwise"
+    (measure_arb fig7_states) (fun measures ->
+      let d = Discretized.build ~delta:100. (fig7_model ()) in
+      let g = d.Discretized.generator and alpha = d.Discretized.alpha in
+      let n = Discretized.n_states d in
+      check_int "fig-7 Delta=100 states" fig7_states n;
+      let measures = Array.of_list measures in
+      let tile = Transient.tile_width n in
+      let lows = ref [] and agree = ref true in
+      let on_step ~step ~snapshot =
+        let s = snapshot () in
+        let v = s.Transient.sp_vector in
+        let low = ref 0 in
+        while !low < n && v.(!low) = 0. do incr low done;
+        lows := !low :: !lows;
+        Array.iteri
+          (fun j m ->
+            let swept = s.Transient.sp_values.(j).(step) in
+            if Int64.bits_of_float swept
+               <> Int64.bits_of_float (explicit_sum v m)
+            then agree := false)
+          measures
+      in
+      let q = Transient.resolve_rate g in
+      ignore
+        (Transient.multi_measure_sweep
+           ~progress:(Progress.make ~on_step ())
+           g ~alpha ~times:[| 400. /. q |] ~measures);
+      let lows = List.sort_uniq compare !lows in
+      (* The support must leave whole tiles out and must move. *)
+      !agree
+      && List.exists (fun low -> low >= tile) lows
+      && List.length lows >= 2)
+
 (* A warm sweep with caller-supplied buffers, kernel and windows
    allocates a fixed number of minor-heap words per product, whatever
-   the state count: the segment sets live in flat buffers made once
-   per sweep.  Two chains of different size must read the same small
-   figure. *)
-let words_per_product model ~delta =
+   the state count and the number of measures: the segment sets live
+   in flat buffers made once per sweep, and each measure's value goes
+   straight into its series.  Two chains of different size must read
+   the same small figure, and the 22 functionals of a two-well
+   dashboard refresh must cost at most 2 words per product more than
+   one sum. *)
+let words_per_product ?measures model ~delta =
   let d = Discretized.build ~delta model in
   let g = d.Discretized.generator and alpha = d.Discretized.alpha in
   let n = Discretized.n_states d in
+  let measures =
+    match measures with Some f -> f d | None -> [| total_mass n |]
+  in
   let q = Transient.resolve_rate g in
   let kernel = Transient.make_kernel g in
   let buffers = (Array.make n 0., Array.make n 0.) in
@@ -176,8 +267,8 @@ let words_per_product model ~delta =
   let times = [| 700. /. q |] in
   let windows = [| Poisson.weights (q *. times.(0)) |] in
   let sweep () =
-    Transient.measure_sweep ~windows ~buffers ~kernel g ~alpha ~times
-      ~measure:Vector.sum
+    Transient.multi_measure_sweep ~windows ~buffers ~kernel g ~alpha ~times
+      ~measures
   in
   ignore (sweep ());
   let before = Gc.minor_words () in
@@ -189,9 +280,44 @@ let words_per_product model ~delta =
     (products >= 500);
   words /. float_of_int products
 
+(* The functionals of a twowell-dashboard refresh, as the session
+   builds them: the absorbed mass for each of two CDF grids, one slab
+   per charge level, one stride per workload state, the expected
+   charge and a joint (mode, min-charge) probability. *)
+let dashboard_measures d =
+  let grid = d.Discretized.grid in
+  let n = Discretized.n_states d and k = grid.Grid.n_workload in
+  let levels1 = grid.Grid.levels1 in
+  let slab = grid.Grid.levels2 * k in
+  let absorbed = Transient.Sum { lo = 0; hi = slab; stride = 1 } in
+  let measures =
+    Array.concat
+      [
+        [| absorbed; absorbed |];
+        Array.init levels1 (fun j1 ->
+            Transient.Sum { lo = j1 * slab; hi = (j1 + 1) * slab; stride = 1 });
+        Array.init k (fun m -> Transient.Sum { lo = m; hi = n; stride = k });
+        [|
+          Transient.Weighted
+            {
+              slab;
+              weights =
+                Array.init levels1 (fun j1 ->
+                    float_of_int j1 *. grid.Grid.delta);
+            };
+          Transient.Sum { lo = (levels1 / 2 * slab) + 1; hi = n; stride = k };
+        |];
+      ]
+  in
+  check_int "22 dashboard functionals" 22 (Array.length measures);
+  measures
+
 let test_product_allocation_fixed () =
   let small = words_per_product (fig7_model ()) ~delta:100. in
   let twowell = words_per_product (fig2_model ()) ~delta:300. in
+  let dashboard =
+    words_per_product ~measures:dashboard_measures (fig2_model ()) ~delta:300.
+  in
   check_true
     (Printf.sprintf "fig-7 (146 states): %.1f minor words per product <= 64"
        small)
@@ -204,7 +330,12 @@ let test_product_allocation_fixed () =
     (Printf.sprintf
        "words per product independent of the state count (%.1f vs %.1f)" small
        twowell)
-    (Float.abs (small -. twowell) <= 4.)
+    (Float.abs (small -. twowell) <= 4.);
+  check_true
+    (Printf.sprintf
+       "22 dashboard functionals: %.1f minor words per product, one sum %.1f"
+       dashboard twowell)
+    (dashboard <= twowell +. 2.)
 
 (* Products above the inline cutoff are partitioned and dispatched to
    the pool: a full-support sweep of the 39k-state fig-2 chain touches
@@ -216,8 +347,13 @@ let test_dispatched_products_bitwise () =
   let g = d.Discretized.generator and alpha = d.Discretized.alpha in
   let q = Transient.resolve_rate g in
   let times = [| 120. /. q; 240. /. q |] in
-  let coefficients = Array.init (Discretized.n_states d) float_of_int in
-  let measures = [| Vector.sum; (fun v -> Vector.dot coefficients v) |] in
+  let n = Discretized.n_states d in
+  let measures =
+    [|
+      total_mass n;
+      Transient.Weighted { slab = 1; weights = Array.init n float_of_int };
+    |]
+  in
   let sections = Telemetry.counter "pool.sections" in
   let run jobs =
     let before = Telemetry.value sections in
@@ -287,6 +423,7 @@ let suite =
       test_adaptive_stats_and_work;
     case "iterate exactly zero outside the window"
       test_outside_window_exact_zero;
+    prop_readout_over_live_support;
     case "warm products allocate a fixed few words"
       test_product_allocation_fixed;
     case "dispatched products bitwise at jobs 1/2/4"

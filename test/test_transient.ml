@@ -59,7 +59,7 @@ let test_measure_sweep_matches_solve () =
   in
   let alpha = [| 1.; 0.; 0. |] in
   let times = [| 0.3; 1.; 2.5; 7. |] in
-  let measure pi = pi.(2) in
+  let measure = state_mass 2 in
   let results, stats = Transient.measure_sweep g ~alpha ~times ~measure in
   check_true "iterations positive" (stats.Transient.iterations > 0);
   Array.iteri
@@ -73,7 +73,7 @@ let test_measure_sweep_unsorted_times () =
   let alpha = [| 1.; 0. |] in
   let results, _ =
     Transient.measure_sweep g ~alpha ~times:[| 5.; 0.5 |]
-      ~measure:(fun pi -> pi.(1))
+      ~measure:(state_mass 1)
   in
   check_true "monotone measure" (results.(0) > results.(1))
 
@@ -84,7 +84,7 @@ let test_convergence_detection () =
   let alpha = [| 1.; 0. |] in
   let _, stats =
     Transient.measure_sweep g ~alpha ~times:[| 1000. |]
-      ~measure:(fun pi -> pi.(1))
+      ~measure:(state_mass 1)
   in
   match stats.Transient.converged_at with
   | Some at -> check_true "stopped early" (at < 2000)
@@ -108,7 +108,7 @@ let test_absorbing_mass_monotone () =
   let alpha = [| 1.; 0.; 0. |] in
   let times = Array.init 20 (fun i -> 0.25 *. float_of_int (i + 1)) in
   let results, _ =
-    Transient.measure_sweep g ~alpha ~times ~measure:(fun pi -> pi.(2))
+    Transient.measure_sweep g ~alpha ~times ~measure:(state_mass 2)
   in
   for i = 1 to Array.length results - 1 do
     check_true "monotone" (results.(i) >= results.(i - 1) -. 1e-12)
@@ -131,13 +131,13 @@ let test_times_validation () =
       ignore
         (Transient.measure_sweep g ~alpha
            ~times:[| 1.; Float.nan |]
-           ~measure:(fun pi -> pi.(1))));
+           ~measure:(state_mass 1)));
   check_raises_diag "negative time in multi_measure_sweep" is_invalid_model
     (fun () ->
       ignore
         (Transient.multi_measure_sweep g ~alpha
            ~times:[| 1.; -2. |]
-           ~measures:[| (fun pi -> pi.(1)) |]));
+           ~measures:[| state_mass 1 |]));
   check_raises_diag "infinite time in distribution_sweep" is_invalid_model
     (fun () ->
       ignore
@@ -147,7 +147,7 @@ let test_times_validation () =
   (match
      Transient.measure_sweep g ~alpha
        ~times:[| -1.; Float.nan; 2. |]
-       ~measure:(fun pi -> pi.(1))
+       ~measure:(state_mass 1)
    with
   | exception Diag.Error (Diag.Invalid_model { violations; _ }) ->
       check_int "both violations collected" 2 (List.length violations)
@@ -167,7 +167,12 @@ let test_multi_measure_matches_single () =
   let alpha = [| 1.; 0.; 0. |] in
   let times = [| 0.3; 1.; 2.5; 7. |] in
   let measures =
-    [| (fun pi -> pi.(0)); (fun pi -> pi.(2)); (fun pi -> pi.(0) +. pi.(1)) |]
+    [|
+      state_mass 0;
+      state_mass 2;
+      Transient.Sum { lo = 0; hi = 2; stride = 1 };
+      Transient.Weighted { slab = 1; weights = [| 0.5; 2.; -1. |] };
+    |]
   in
   let batched, stats = Transient.multi_measure_sweep g ~alpha ~times ~measures in
   check_true "iterations positive" (stats.Transient.iterations > 0);
@@ -187,7 +192,7 @@ let test_multi_measure_counts_one_sweep () =
   let g = Generator.of_rates ~n:2 [ (0, 1, 1.); (1, 0, 0.5) ] in
   let alpha = [| 1.; 0. |] in
   let times = [| 0.5; 1.; 2. |] in
-  let measures = [| (fun pi -> pi.(0)); (fun pi -> pi.(1)) |] in
+  let measures = [| state_mass 0; state_mass 1 |] in
   let c_sweeps = Telemetry.counter "transient.sweeps"
   and c_products = Telemetry.counter "transient.products" in
   Telemetry.reset_counter c_sweeps;
@@ -197,11 +202,33 @@ let test_multi_measure_counts_one_sweep () =
   check_int "products = iterations" stats.Transient.iterations
     (Telemetry.value c_products)
 
+(* Measures are validated once per sweep, before any product. *)
+let test_measure_validation () =
+  let g = Generator.of_rates ~n:3 [ (0, 1, 1.); (1, 2, 0.5) ] in
+  let alpha = [| 1.; 0.; 0. |] in
+  let sweep measure =
+    ignore (Transient.measure_sweep g ~alpha ~times:[| 1. |] ~measure)
+  in
+  List.iter
+    (fun (name, measure) -> check_raises_invalid name (fun () -> sweep measure))
+    [
+      ("range past n", Transient.Sum { lo = 0; hi = 4; stride = 1 });
+      ("negative start", Transient.Sum { lo = -1; hi = 2; stride = 1 });
+      ("inverted range", Transient.Sum { lo = 2; hi = 1; stride = 1 });
+      ("zero stride", Transient.Sum { lo = 0; hi = 3; stride = 0 });
+      ("zero slab", Transient.Weighted { slab = 0; weights = [| 1.; 1.; 1. |] });
+      ( "weights short of n states",
+        Transient.Weighted { slab = 2; weights = [| 1. |] } );
+    ];
+  (* Empty ranges and a last slab that overhangs n are well-formed. *)
+  sweep (Transient.Sum { lo = 3; hi = 3; stride = 1 });
+  sweep (Transient.Weighted { slab = 2; weights = [| 1.; 1. |] })
+
 let test_supplied_buffers_and_windows () =
   let g = Generator.of_rates ~n:3 [ (0, 1, 1.); (1, 2, 0.5) ] in
   let alpha = [| 1.; 0.; 0. |] in
   let times = [| 0.7; 3. |] in
-  let measure pi = pi.(2) in
+  let measure = state_mass 2 in
   let plain, _ = Transient.measure_sweep g ~alpha ~times ~measure in
   let q = Transient.resolve_rate g in
   let windows =
@@ -245,6 +272,7 @@ let suite =
     case "time-grid validation is structured" test_times_validation;
     case "multi-measure matches single sweeps" test_multi_measure_matches_single;
     case "multi-measure costs one sweep" test_multi_measure_counts_one_sweep;
+    case "measure validation" test_measure_validation;
     case "supplied buffers and windows" test_supplied_buffers_and_windows;
     case "expected hitting mass" test_expected_hitting_mass;
   ]
