@@ -12,7 +12,7 @@ open Batlife_workload
 open Batlife_core
 open Batlife_sim
 open Batlife_output
-module Error = Batlife_robust.Error
+module Diag = Batlife_numerics.Diag
 module Validate = Batlife_robust.Validate
 module Solver_opts = Batlife_ctmc.Solver_opts
 module Progress = Batlife_numerics.Progress
@@ -71,8 +71,8 @@ let battery_term =
           pedantic
     | `Strict, vs ->
         raise
-          (Error.Error
-             (Error.Invalid_model
+          (Diag.Error
+             (Diag.Invalid_model
                 {
                   what = "KiBaM parameters";
                   violations =
@@ -165,7 +165,7 @@ let solver_opts_term =
     let jobs =
       match jobs with
       | Some j when j < 1 ->
-          Batlife_numerics.Diag.invalid_model ~what:"--jobs"
+          Diag.invalid_model ~what:"--jobs"
             [ Printf.sprintf "need at least 1 worker domain, got %d" j ]
       | Some j ->
           let j = Batlife_numerics.Pool.clamp_jobs j in
@@ -255,7 +255,7 @@ let resilience_term =
   let make deadline max_sweeps max_products cancel_after max_retries
       checkpoint checkpoint_interval resume =
     if checkpoint_interval < 1 then
-      Batlife_numerics.Diag.invalid_model ~what:"--checkpoint-interval"
+      Diag.invalid_model ~what:"--checkpoint-interval"
         [
           Printf.sprintf "need a positive step count, got %d"
             checkpoint_interval;
@@ -531,7 +531,7 @@ let simulate_cmd =
           | None -> None
           | Some (Checkpoint.Montecarlo m) ->
               if m.Checkpoint.mc_seed <> seed64 then
-                Batlife_numerics.Diag.invalid_model
+                Diag.invalid_model
                   ~what:("checkpoint " ^ path)
                   [
                     Printf.sprintf
@@ -547,7 +547,7 @@ let simulate_cmd =
                   mp_rng = m.Checkpoint.mc_rng;
                 }
           | Some (Checkpoint.Cdf _ | Checkpoint.Experiments _) ->
-              Batlife_numerics.Diag.invalid_model ~what:("checkpoint " ^ path)
+              Diag.invalid_model ~what:("checkpoint " ^ path)
                 [
                   "checkpoint holds a different computation kind, not a \
                    Monte-Carlo batch";
@@ -606,8 +606,9 @@ let simulate_cmd =
 
 let trace_cmd =
   let run battery path delta times opts plot () =
-    let samples = Error.get_ok (Trace.load_samples_result path) in
-    let profile = Error.get_ok (Trace.of_samples_result samples) in
+    let get_ok = function Ok v -> v | Error e -> raise (Diag.Error e) in
+    let samples = get_ok (Trace.load_samples_result path) in
+    let profile = get_ok (Trace.of_samples_result samples) in
     (* Deterministic replay. *)
     (match Kibam.lifetime battery profile with
     | Some t -> Printf.printf "trace replay: battery empty at %.6g\n" t
@@ -777,27 +778,27 @@ let serve_cmd =
       max_strikes jobs access_log slow_log slow_query_ms () =
     (match jobs with
     | Some j when j < 1 ->
-        Batlife_numerics.Diag.invalid_model ~what:"--jobs"
+        Diag.invalid_model ~what:"--jobs"
           [ Printf.sprintf "need at least 1 worker domain, got %d" j ]
     | Some j ->
         Batlife_numerics.Pool.set_default_jobs
           (Batlife_numerics.Pool.clamp_jobs j)
     | None -> ());
     if slow_query_ms < 0. then
-      Batlife_numerics.Diag.invalid_model ~what:"--slow-query-ms"
+      Diag.invalid_model ~what:"--slow-query-ms"
         [ Printf.sprintf "need a non-negative threshold, got %g" slow_query_ms ];
     let positive what v =
       if v <= 0 then
-        Batlife_numerics.Diag.invalid_model ~what
+        Diag.invalid_model ~what
           [ Printf.sprintf "need a positive value, got %d" v ]
     and positive_f what v =
       if not (v > 0.) then
-        Batlife_numerics.Diag.invalid_model ~what
+        Diag.invalid_model ~what
           [ Printf.sprintf "need a positive value, got %g" v ]
     in
     positive "--backlog" backlog;
     if queue < 0 then
-      Batlife_numerics.Diag.invalid_model ~what:"--queue"
+      Diag.invalid_model ~what:"--queue"
         [ Printf.sprintf "need a non-negative capacity, got %d" queue ];
     positive "--max-frame-bytes" max_frame_bytes;
     positive "--max-strikes" max_strikes;
@@ -1017,8 +1018,8 @@ let stats_cmd =
     go ()
   in
   let io_error ~socket message =
-    Batlife_numerics.Diag.fail
-      (Batlife_numerics.Diag.Parse_error
+    Diag.fail
+      (Diag.Parse_error
          { source = socket; line = 0; field = None; message })
   in
   let run socket probe () =
@@ -1028,7 +1029,7 @@ let stats_cmd =
       | "prometheus" -> Query.Prometheus
       | "health" -> Query.Health
       | other ->
-          Batlife_numerics.Diag.invalid_model ~what:"stats"
+          Diag.invalid_model ~what:"stats"
             [
               Printf.sprintf
                 "unknown probe %S (expected stats, prometheus or health)" other;
@@ -1106,14 +1107,14 @@ let stats_cmd =
    so. *)
 let report_diagnostics () =
   List.iter
-    (fun (e : Batlife_numerics.Diag.event) ->
-      if e.Batlife_numerics.Diag.fallback then
+    (fun (e : Diag.event) ->
+      if e.Diag.fallback then
         Printf.eprintf "batlife: note: %s%s: %s\n"
-          (match e.Batlife_numerics.Diag.ctx with
+          (match e.Diag.ctx with
           | None -> ""
           | Some rid -> "[" ^ rid ^ "] ")
-          e.Batlife_numerics.Diag.origin e.Batlife_numerics.Diag.detail)
-    (Batlife_numerics.Diag.events ())
+          e.Diag.origin e.Diag.detail)
+    (Diag.events ())
 
 let () =
   let doc = "battery lifetime distributions (Cloth et al., DSN 2007)" in
@@ -1145,15 +1146,15 @@ let () =
   in
   (* [~catch:false] lets structured errors reach this handler instead
      of cmdliner's generic backtrace printer; each error class maps to
-     a distinct exit code (3-8, see [Error.exit_code]) — 7 for an
+     a distinct exit code (3-8, see [Diag.exit_code]) — 7 for an
      exhausted budget/deadline, 8 for cooperative cancellation
      (Ctrl-C). *)
   let code =
     match Cmd.eval ~catch:false group with
     | code -> code
-    | exception Error.Error e ->
-        Printf.eprintf "batlife: error: %s\n" (Error.to_string e);
-        Error.exit_code e
+    | exception Diag.Error e ->
+        Printf.eprintf "batlife: error: %s\n" (Diag.error_to_string e);
+        Diag.exit_code e
   in
   report_diagnostics ();
   report_telemetry ();

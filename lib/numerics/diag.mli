@@ -3,8 +3,7 @@
     Every guarded failure mode in the code base is one of these
     variants; raising [Error] instead of [failwith] lets callers match
     on the class of failure (and lets the CLI map each class to a
-    distinct exit code).  The higher-level [Batlife_robust.Error]
-    module re-exports the type together with [Result] combinators. *)
+    distinct exit code, {!exit_code}). *)
 
 type error =
   | Invalid_model of { what : string; violations : string list }

@@ -4,7 +4,7 @@
     problems found (empty = valid), so a user mistyping three CLI flags
     sees three diagnostics, not a fix-one-rerun loop.  Use
     {!to_result} or {!run} to turn a report into a structured
-    {!Error.Invalid_model}. *)
+    {!Batlife_numerics.Diag.Invalid_model}. *)
 
 type violation = { subject : string; problem : string }
 
@@ -13,13 +13,14 @@ val message : violation -> string
 
 val messages : violation list -> string list
 
-val to_result : what:string -> violation list -> (unit, Error.t) result
+val to_result :
+  what:string -> violation list -> (unit, Batlife_numerics.Diag.error) result
 (** [Ok ()] on an empty report, otherwise
     [Error (Invalid_model { what; violations })] carrying every
     message. *)
 
 val run : what:string -> violation list -> unit
-(** Like {!to_result} but raises {!Error.Error}. *)
+(** Like {!to_result} but raises {!Batlife_numerics.Diag.Error}. *)
 
 val kibam :
   ?subject:string -> capacity:float -> c:float -> k:float -> unit ->

@@ -8,7 +8,6 @@ open Batlife_numerics
 open Batlife_ctmc
 open Batlife_workload
 open Batlife_core
-module Error = Batlife_robust.Error
 module Validate = Batlife_robust.Validate
 module Fault = Batlife_robust.Fault
 
@@ -248,7 +247,7 @@ let test_ode_fallback_recovers () =
   Diag.clear_events ()
 
 (* ------------------------------------------------------------------ *)
-(* Parse errors and the Error module                                   *)
+(* Parse errors and exit codes                                         *)
 
 let test_trace_parse_context () =
   (match Trace.parse_csv_exn ~source:"test.csv" "0,1\n2,frog\n" with
@@ -277,34 +276,13 @@ let test_sample_violations () =
   let report = Trace.sample_violations bad in
   check_int "both problems reported" 2 (List.length report)
 
-let test_error_protect () =
-  (match Error.protect (fun () -> 42) with
-  | Ok v -> check_int "protect passes values through" 42 v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e));
-  (match Error.protect (fun () -> invalid_arg "boom") with
-  | Error (Error.Invalid_model _) -> ()
-  | _ -> Alcotest.fail "Invalid_argument should classify as Invalid_model");
-  (match
-     Error.protect (fun () ->
-         raise
-           (Iterative.Did_not_converge
-              { Iterative.solution = [||]; iterations = 7; residual = 1. }))
-   with
-  | Error (Error.Nonconvergence { iterations; _ }) ->
-      check_int "iterations" 7 iterations
-  | _ -> Alcotest.fail "Did_not_converge should classify as Nonconvergence");
-  check_true "unclassifiable exceptions re-raise"
-    (match Error.protect (fun () -> raise Exit) with
-    | exception Exit -> true
-    | _ -> false)
-
 let test_exit_codes_distinct () =
   let codes =
-    List.map Error.exit_code
+    List.map Diag.exit_code
       [
-        Error.Invalid_model { what = ""; violations = [] };
-        Error.Parse_error { source = ""; line = 0; field = None; message = "" };
-        Error.Nonconvergence
+        Diag.Invalid_model { what = ""; violations = [] };
+        Diag.Parse_error { source = ""; line = 0; field = None; message = "" };
+        Diag.Nonconvergence
           {
             algorithm = "";
             iterations = 0;
@@ -312,8 +290,8 @@ let test_exit_codes_distinct () =
             tolerance = 0.;
             attempted = [];
           };
-        Error.Numerical_breakdown { where = ""; detail = "" };
-        Error.Budget_exhausted { what = ""; budget = 0 };
+        Diag.Numerical_breakdown { where = ""; detail = "" };
+        Diag.Budget_exhausted { what = ""; budget = 0 };
       ]
   in
   check_int "five distinct nonzero codes" 5
@@ -341,6 +319,5 @@ let suite =
     case "trace parse error context" test_trace_parse_context;
     case "trace of_samples validates" test_trace_of_samples_raises;
     case "trace sample violations" test_sample_violations;
-    case "Error.protect classification" test_error_protect;
     case "exit codes distinct" test_exit_codes_distinct;
   ]
