@@ -20,13 +20,6 @@
                     products for the per-call vs batched-session
                     evaluation paths and write a JSON snapshot
                     (committed as BENCH_engine.json, diffed by CI)
-     --scaling-report PATH
-                    run ONLY the multicore scaling benchmark: the
-                    fig-7 solve at jobs = 1, 2, 4 (with a bitwise
-                    identity check across job counts) plus the
-                    scatter-vecmat vs transposed-gather-matvec
-                    microbenchmark, written as a JSON snapshot
-                    (committed as BENCH_parallel.json)
      --kernel-report PATH
                     run ONLY the adaptive-support kernel benchmark:
                     the fig-7 / fig-2 style sweeps at Delta = 10,
@@ -284,128 +277,11 @@ let engine_report path =
     (ratio float_of_int per_call_sweeps session_sweeps));
   Printf.printf "  wrote %s\n" path
 
-(* ------------------------------------------------------------------ *)
-(* Multicore scaling: wall-clock of a whole fig-7 style solve at
-   jobs = 1, 2, 4, a bitwise identity check of the resulting curves,
-   and a microbenchmark of the two step kernels (the historical
-   scatter [vecmat_acc] against the gather [matvec_rows] over the
-   transposed matrix that the parallel path uses).  Written as a
-   committed JSON snapshot (BENCH_parallel.json); the machine's core
-   count is recorded because speedups are only meaningful relative to
-   it. *)
-
-module Nsparse = Batlife_numerics.Sparse
-module Npool = Batlife_numerics.Pool
-
+(* Wall-clock seconds of [f ()], with its result. *)
 let wall f =
   let t0 = Unix.gettimeofday () in
   let y = f () in
   (Unix.gettimeofday () -. t0, y)
-
-let scaling_report path =
-  let cores = Domain.recommended_domain_count () in
-  let model =
-    Params.onoff_kibamrm ~frequency:1.0 (Params.battery_single_well ())
-  in
-  let delta = 10. and times = [| 10000.; 15000.; 20000. |] in
-  let solve jobs =
-    let opts = Batlife_ctmc.Solver_opts.make ~jobs () in
-    (* Spawn the pool's domains outside the measurement. *)
-    ignore (Npool.get ~jobs : Npool.t);
-    ignore (Lifetime.cdf ~opts ~delta ~times model : Lifetime.curve);
-    let best = ref infinity and curve = ref None in
-    for _ = 1 to 3 do
-      let t, c = wall (fun () -> Lifetime.cdf ~opts ~delta ~times model) in
-      if t < !best then best := t;
-      curve := Some c
-    done;
-    (!best, Option.get !curve)
-  in
-  let measured = List.map (fun jobs -> (jobs, solve jobs)) [ 1; 2; 4 ] in
-  let base_time, base_curve = List.assoc 1 measured in
-  let bits (c : Lifetime.curve) =
-    Array.map Int64.bits_of_float c.Lifetime.probabilities
-  in
-  let reference = bits base_curve in
-  let identical =
-    List.for_all (fun (_, (_, c)) -> bits c = reference) measured
-  in
-  Printf.printf
-    "=== Multicore scaling (fig-7 model, delta = %g, %d cores) ===\n" delta
-    cores;
-  List.iter
-    (fun (jobs, (t, _)) ->
-      Printf.printf "  jobs = %d: %8.3f ms  (speedup %.2fx)\n" jobs
-        (t *. 1e3) (base_time /. t))
-    measured;
-  Printf.printf "  curves bitwise identical across job counts: %b\n" identical;
-  if not identical then begin
-    prerr_endline
-      "scaling report: results differ across job counts (determinism bug)";
-    exit 1
-  end;
-  (* Step-kernel microbenchmark on the fig-8 Delta=50 matrix: both
-     kernels compute x^T P, the scatter over P and the gather over
-     P^T. *)
-  let d =
-    Discretized.build ~delta:50.
-      (Params.onoff_kibamrm ~frequency:1.0 (Params.battery_two_well ()))
-  in
-  let g = d.Discretized.generator in
-  let q = Batlife_ctmc.Generator.uniformisation_rate g in
-  let p = Batlife_ctmc.Generator.uniformised g ~q in
-  let pt = Nsparse.transpose p in
-  let n = Discretized.n_states d in
-  let src = Array.make n (1. /. float_of_int n) in
-  let dst = Array.make n 0. in
-  let reps = 400 in
-  let per_op f =
-    f ();
-    f ();
-    let t, () = wall (fun () -> for _ = 1 to reps do f () done) in
-    t *. 1e9 /. float_of_int reps
-  in
-  let scatter_ns =
-    per_op (fun () ->
-        Array.fill dst 0 n 0.;
-        Nsparse.vecmat_acc ~src p ~scale:1. ~dst)
-  in
-  let gather_ns =
-    per_op (fun () -> Nsparse.matvec_rows pt src ~dst ~lo:0 ~hi:n)
-  in
-  Printf.printf
-    "  step kernel (%d states, %d nnz): scatter %.0f ns, gather %.0f ns \
-     (ratio %.2fx)\n"
-    n (Nsparse.nnz p) scatter_ns gather_ns (scatter_ns /. gather_ns);
-  Batlife_numerics.Atomic_io.with_out ~path (fun oc ->
-  Printf.fprintf oc
-    {|{
-  "benchmark": "multicore scaling",
-  "machine": { "cores": %d },
-  "model": "fig7 on/off single-well, delta = %g, 3 time points",
-  "solve": [
-%s
-  ],
-  "bitwise_identical_across_jobs": %b,
-  "step_kernel": {
-    "states": %d,
-    "nnz": %d,
-    "scatter_vecmat_ns": %.0f,
-    "gather_transposed_matvec_ns": %.0f,
-    "scatter_over_gather_ratio": %.4f
-  }
-}
-|}
-    cores delta
-    (String.concat ",\n"
-       (List.map
-          (fun (jobs, (t, _)) ->
-            Printf.sprintf
-              {|    { "jobs": %d, "seconds": %.6f, "speedup": %.4f }|} jobs t
-              (base_time /. t))
-          measured))
-    identical n (Nsparse.nnz p) scatter_ns gather_ns (scatter_ns /. gather_ns));
-  Printf.printf "  wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive-support kernel accounting: the fig-7 and fig-2 style
@@ -918,7 +794,6 @@ let () =
   let quota = ref 0.5 in
   let ids = ref [] in
   let engine_json = ref None in
-  let scaling_json = ref None in
   let kernel_json = ref None in
   let obs_json = ref None in
   let chaos_json = ref None in
@@ -933,9 +808,6 @@ let () =
         parse rest
     | "--engine-report" :: path :: rest ->
         engine_json := Some path;
-        parse rest
-    | "--scaling-report" :: path :: rest ->
-        scaling_json := Some path;
         parse rest
     | "--kernel-report" :: path :: rest ->
         kernel_json := Some path;
@@ -979,14 +851,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let options = !options in
-  (* --scaling-report is a standalone mode: only the scaling benchmark
-     runs (it solves the same model several times; interleaving the
-     full reproduction or Bechamel passes would just add noise). *)
-  (match !scaling_json with
-  | Some path ->
-      scaling_report path;
-      exit 0
-  | None -> ());
   (* --kernel-report also runs alone: it reads the process-wide work
      counters, which any interleaved solve would pollute. *)
   (match !kernel_json with
@@ -1015,8 +879,8 @@ let () =
       Serve_chaos.report ~path;
       exit 0
   | None -> ());
-  (* --service-report runs alone for the same reason as the scaling
-     report: it measures per-query wall clocks. *)
+  (* --service-report runs alone: it measures per-query wall clocks,
+     which interleaved work would pollute. *)
   (match !service_json with
   | Some path ->
       service_report path;

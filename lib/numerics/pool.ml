@@ -363,13 +363,13 @@ let default_jobs () =
       | Some n -> n
       | None -> max 1 (Domain.recommended_domain_count ()))
 
-(* More worker domains than cores is a measured slowdown (the
-   committed BENCH_parallel.json shows jobs = 2/4 running 21-35%
-   slower than jobs = 1 on a 1-core container), so the CLI routes
-   every explicit jobs request through this clamp.  The note is a
-   plain (non-fallback) Diag event: discoverable by drains and tests,
-   but not printed on stderr, so clamping never perturbs pinned CLI
-   output.  Library callers asking [get ~jobs] directly are NOT
+(* More worker domains than cores is a measured slowdown (on a 1-core
+   container the fig-7 Delta=10 solve took 0.54 s at jobs = 1, 0.68 s
+   at jobs = 2 and 0.83 s at jobs = 4; CHANGES.md records the run), so
+   the CLI routes every explicit jobs request through this clamp.  The
+   note is a plain (non-fallback) Diag event: discoverable by drains
+   and tests, but not printed on stderr, so clamping never perturbs
+   pinned CLI output.  Library callers asking [get ~jobs] directly are NOT
    clamped — the determinism tests deliberately oversubscribe. *)
 let clamp_jobs requested =
   if requested < 1 then invalid_arg "Pool.clamp_jobs: need jobs >= 1";

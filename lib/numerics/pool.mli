@@ -134,8 +134,9 @@ val clamp_jobs : int -> int
     [Domain.recommended_domain_count] (at least 1).  When the request
     exceeds the core count, a {!Diag.record} note explains the clamp
     (non-fallback, so nothing is printed): oversubscribing domains is
-    a measured slowdown — BENCH_parallel.json shows jobs = 2/4 running
-    21-35% {e slower} on a 1-core container.  The CLI routes [--jobs]
+    a measured slowdown — on a 1-core container the fig-7 Delta=10
+    solve took 0.54 s at jobs = 1 but 0.68 s at jobs = 2 and 0.83 s at
+    jobs = 4 (CHANGES.md records the run).  The CLI routes [--jobs]
     through this; direct [get ~jobs] callers are not clamped (the
     determinism tests deliberately oversubscribe).  Raises
     [Invalid_argument] on values below 1. *)
