@@ -34,12 +34,6 @@
                     identical on any machine and core count); nonzero
                     exit if the touched-nnz reduction falls below 3x
                     on any model or the deviation exceeds the bound
-     --obs-report PATH
-                    run ONLY the telemetry overhead benchmark: the
-                    same fig-7 style solve with the collector off and
-                    on, a bitwise identity check between the two, and
-                    the recorded span/counter volume, written as a
-                    JSON snapshot (committed as BENCH_obs.json)
      --chaos-report PATH
                     run ONLY the chaos harness (see chaos.ml): a
                     seeded matrix of fault-injection plans over the
@@ -440,88 +434,6 @@ let kernel_report path =
   Printf.printf "  wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry overhead: the fig-7 style solve with the collector off
-   and on.  Gated probes must cost a single predictable branch when
-   disabled and stay cheap enough when enabled that profiling a real
-   run is always acceptable; the committed snapshot (BENCH_obs.json)
-   keeps the measured ratio under version control.  The curves must
-   also be bitwise identical in both modes -- telemetry may only
-   observe, never perturb. *)
-
-let obs_report path =
-  let model =
-    Params.onoff_kibamrm ~frequency:1.0 (Params.battery_single_well ())
-  in
-  let delta = 25. and times = [| 10000.; 15000.; 20000. |] in
-  let solve () = Lifetime.cdf ~delta ~times model in
-  let reps = 5 in
-  let best_of f =
-    ignore (f () : Lifetime.curve);
-    (* Warm caches and the minor heap. *)
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let t, c = wall f in
-      if t < !best then best := t;
-      last := Some c
-    done;
-    (!best, Option.get !last)
-  in
-  Telemetry.disable ();
-  let disabled_s, curve_off = best_of solve in
-  Telemetry.enable ();
-  Telemetry.reset ();
-  let enabled_s, curve_on = best_of solve in
-  let snap = Telemetry.snapshot () in
-  let spans_recorded = List.length snap.Telemetry.snap_spans in
-  (* Per-solve counter volume: reset, one run, read. *)
-  Telemetry.reset ();
-  ignore (solve () : Lifetime.curve);
-  let per_solve name = Telemetry.value (Telemetry.counter name) in
-  let sweeps = per_solve "transient.sweeps"
-  and products = per_solve "transient.products"
-  and windows = per_solve "poisson.windows" in
-  Telemetry.disable ();
-  Telemetry.reset ();
-  let bits (c : Lifetime.curve) =
-    Array.map Int64.bits_of_float c.Lifetime.probabilities
-  in
-  let identical = bits curve_off = bits curve_on in
-  let overhead = (enabled_s /. disabled_s) -. 1. in
-  Printf.printf "=== Telemetry overhead (fig-7 model, delta = %g) ===\n" delta;
-  Printf.printf "  collector disabled: %8.3f ms\n" (disabled_s *. 1e3);
-  Printf.printf "  collector enabled:  %8.3f ms  (%d spans recorded)\n"
-    (enabled_s *. 1e3) spans_recorded;
-  Printf.printf "  overhead: %+.2f %%\n" (overhead *. 100.);
-  Printf.printf "  curves bitwise identical on/off: %b\n" identical;
-  if not identical then begin
-    prerr_endline "obs report: telemetry perturbed the results (bug)";
-    exit 1
-  end;
-  Batlife_numerics.Atomic_io.with_out ~path (fun oc ->
-  Printf.fprintf oc
-    {|{
-  "benchmark": "telemetry overhead",
-  "model": "fig7 on/off single-well, delta = %g, %d time points",
-  "reps_best_of": %d,
-  "disabled_seconds": %.6f,
-  "enabled_seconds": %.6f,
-  "overhead_ratio": %.4f,
-  "bitwise_identical_on_off": %b,
-  "enabled_run": {
-    "spans": %d,
-    "counters": {
-      "transient.sweeps": %d,
-      "transient.products": %d,
-      "poisson.windows": %d
-    }
-  }
-}
-|}
-    delta (Array.length times) reps disabled_s enabled_s
-    (enabled_s /. disabled_s) identical spans_recorded sweeps products windows);
-  Printf.printf "  wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* Query service: >= 1000 Zipf-distributed queries over a model
    population, answered sequentially through the same [Service] the
    [batlife serve] daemon uses.  The Zipf head keeps a handful of
@@ -795,7 +707,6 @@ let () =
   let ids = ref [] in
   let engine_json = ref None in
   let kernel_json = ref None in
-  let obs_json = ref None in
   let chaos_json = ref None in
   let chaos_plans = ref 60 in
   let chaos_seed = ref 2007L in
@@ -811,9 +722,6 @@ let () =
         parse rest
     | "--kernel-report" :: path :: rest ->
         kernel_json := Some path;
-        parse rest
-    | "--obs-report" :: path :: rest ->
-        obs_json := Some path;
         parse rest
     | "--chaos-report" :: path :: rest ->
         chaos_json := Some path;
@@ -856,13 +764,6 @@ let () =
   (match !kernel_json with
   | Some path ->
       kernel_report path;
-      exit 0
-  | None -> ());
-  (* --obs-report likewise runs alone: it compares wall clocks, so any
-     interleaved work would pollute the overhead ratio. *)
-  (match !obs_json with
-  | Some path ->
-      obs_report path;
       exit 0
   | None -> ());
   (* --chaos-report runs alone too: it arms process-wide injection

@@ -22,7 +22,8 @@
     disabled (the default) that branch is the whole cost.  Probes are
     placed at sweep/solve/section granularity, never inside the
     per-nonzero inner loops, so enabling telemetry costs a few percent
-    at most (bench --obs-report measures the ratio).
+    at most (the benchmark's traced ledger reports the ratio as
+    [trace.overhead_frac]).
 
     {b Determinism.}  Telemetry never influences numerical results:
     enabling it changes no solver output bit (asserted by the test
