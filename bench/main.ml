@@ -60,20 +60,7 @@
                     JSON snapshot (committed as BENCH_serve_chaos.json,
                     counts and booleans only, no wall clocks); nonzero
                     exit on any violation
-     --service-report PATH
-                    run ONLY the query-service benchmark: >= 1000
-                    Zipf-distributed queries over a 48-model
-                    population through the [batlife serve] engine,
-                    recording per-query latency percentiles and the
-                    fingerprint cache's hit rate, written as a JSON
-                    snapshot (committed as BENCH_service.json); the
-                    same latencies are also fed through the streaming
-                    log-bucketed histogram (Streamstat.Hist) and the
-                    streaming p50/p90/p99 are cross-checked against
-                    the exact sorted quantiles within the documented
-                    relative error bound; nonzero exit on any failed
-                    query, a zero cache hit rate, or a quantile
-                    outside the bound *)
+ *)
 
 open Bechamel
 open Batlife_battery
@@ -433,200 +420,6 @@ let kernel_report path =
     min_reduction max_deviation);
   Printf.printf "  wrote %s\n" path
 
-(* ------------------------------------------------------------------ *)
-(* Query service: >= 1000 Zipf-distributed queries over a model
-   population, answered sequentially through the same [Service] the
-   [batlife serve] daemon uses.  The Zipf head keeps a handful of
-   models hot, so the fingerprint cache absorbs most queries while the
-   tail forces builds and LRU evictions; the committed snapshot
-   (BENCH_service.json) records the latency percentiles and the hit
-   rate.  Self-verifying: any failed query or a zero hit rate exits
-   nonzero. *)
-
-module Service = Batlife_service.Service
-module Scache = Batlife_service.Cache
-module Model_spec = Batlife_service.Model_spec
-module Squery = Batlife_service.Query
-module Rng = Batlife_numerics.Rng
-module Streamstat = Batlife_numerics.Streamstat
-
-(* 8 switching frequencies x 6 capacities of the fig-7 style single-well
-   on/off model: 48 distinct fingerprints. *)
-let service_population n =
-  Array.init n (fun i ->
-      {
-        Model_spec.workload =
-          Model_spec.Onoff
-            {
-              frequency = 0.25 +. (0.25 *. float_of_int (i mod 8));
-              k = 1;
-              on_current = 0.96;
-            };
-        capacity = 5400. +. (300. *. float_of_int (i / 8));
-        c = 1.0;
-        k = 0.0;
-        delta = 300.;
-        accuracy = None;
-      })
-
-let zipf_weights ~exponent n =
-  Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** exponent))
-
-let service_query rng specs weights q =
-  let spec = specs.(Rng.discrete rng weights) in
-  let payload =
-    let r = Rng.uniform rng in
-    if r < 0.70 then Squery.Cdf { times = [| 5000.; 10000.; 15000. |] }
-    else if r < 0.90 then
-      Squery.Percentiles { ps = [| 0.5; 0.9 |]; horizon = 25000.; points = 20 }
-    else Squery.Stats
-  in
-  { Squery.id = Printf.sprintf "q%04d" q; model = Some spec; payload;
-    deadline_s = None }
-
-let service_report path =
-  let population = 48
-  and cache_capacity = 16
-  and queries = 1200
-  and exponent = 1.1 in
-  let specs = service_population population in
-  let weights = zipf_weights ~exponent population in
-  let svc = Service.create ~cache_capacity () in
-  let cache = Service.cache svc in
-  (* The counters are process-wide; report deltas. *)
-  let hits0 = Scache.hits cache
-  and misses0 = Scache.misses cache
-  and evictions0 = Scache.evictions cache in
-  let c_builds = Telemetry.counter "discretized.builds" in
-  let builds0 = Telemetry.value c_builds in
-  let c_admitted = Telemetry.counter "service.admitted"
-  and c_shed = Telemetry.counter "service.shed" in
-  let admitted0 = Telemetry.value c_admitted
-  and shed0 = Telemetry.value c_shed in
-  let rng = Rng.create ~seed:20070625L () in
-  let latencies = Array.make queries 0. in
-  let hist = Streamstat.Hist.create () in
-  let failures = ref 0 in
-  for q = 0 to queries - 1 do
-    let req = service_query rng specs weights q in
-    let t, resp = wall (fun () -> Service.handle svc req) in
-    latencies.(q) <- t;
-    Streamstat.Hist.observe hist t;
-    match resp.Squery.result with
-    | Ok _ -> ()
-    | Error e ->
-        incr failures;
-        Printf.eprintf "service report: %s failed: %s (%s, code %d)\n"
-          req.Squery.id e.Squery.message e.Squery.kind e.Squery.code
-  done;
-  let hits = Scache.hits cache - hits0
-  and misses = Scache.misses cache - misses0
-  and evictions = Scache.evictions cache - evictions0
-  and builds = Telemetry.value c_builds - builds0 in
-  let admitted = Telemetry.value c_admitted - admitted0
-  and shed = Telemetry.value c_shed - shed0 in
-  let shed_rate =
-    if admitted + shed = 0 then 0.
-    else float_of_int shed /. float_of_int (admitted + shed)
-  and depth_p99 = Batlife_service.Obs.queue_depth_p99 (Service.obs svc) in
-  let hit_rate = float_of_int hits /. float_of_int (hits + misses) in
-  let sorted = Array.copy latencies in
-  Array.sort Float.compare sorted;
-  let pct p =
-    sorted.(min (queries - 1) (int_of_float (p *. float_of_int queries)))
-  in
-  let mean = Array.fold_left ( +. ) 0. latencies /. float_of_int queries in
-  Printf.printf
-    "=== Query service (%d Zipf(%.1f) queries, %d models, cache %d) ===\n"
-    queries exponent population cache_capacity;
-  Printf.printf
-    "  cache: %d hits / %d misses (%.1f %% hit rate), %d evictions, %d Q* \
-     builds\n"
-    hits misses (hit_rate *. 100.) evictions builds;
-  Printf.printf
-    "  admission: %d admitted, %d shed (shed rate %.4f), queue-depth p99 %.1f\n"
-    admitted shed shed_rate depth_p99;
-  Printf.printf "  latency: p50 %.0f us, p90 %.0f us, p99 %.0f us, max %.0f us\n"
-    (pct 0.50 *. 1e6) (pct 0.90 *. 1e6) (pct 0.99 *. 1e6)
-    (sorted.(queries - 1) *. 1e6);
-  Printf.printf "  failed queries: %d\n" !failures;
-  (* Cross-check: the bounded streaming histogram the live service
-     scrapes must agree with the exact sorted quantiles computed on
-     the very same latencies, within its documented relative error
-     bound (both use the floor(p*n) rank convention, so the only
-     divergence allowed is the bucket-midpoint rounding). *)
-  let bound = Streamstat.Hist.rel_error_bound hist in
-  let stream_pct p = Streamstat.Hist.quantile hist p in
-  let quantile_checks =
-    List.map
-      (fun p ->
-        let exact = pct p and stream = stream_pct p in
-        let rel =
-          if exact > 0. then Float.abs (stream -. exact) /. exact else 0.
-        in
-        (p, exact, stream, rel))
-      [ 0.50; 0.90; 0.99 ]
-  in
-  let max_rel_error =
-    List.fold_left (fun acc (_, _, _, rel) -> Float.max acc rel)
-      0. quantile_checks
-  in
-  Printf.printf
-    "  streaming: p50 %.0f us, p90 %.0f us, p99 %.0f us (max rel err %.4f, \
-     bound %.4f)\n"
-    (stream_pct 0.50 *. 1e6) (stream_pct 0.90 *. 1e6)
-    (stream_pct 0.99 *. 1e6) max_rel_error bound;
-  let quantile_violation =
-    List.exists (fun (_, _, _, rel) -> rel > bound) quantile_checks
-  in
-  if quantile_violation then
-    List.iter
-      (fun (p, exact, stream, rel) ->
-        if rel > bound then
-          Printf.eprintf
-            "service report: streaming p%.0f = %.6fs vs exact %.6fs (rel \
-             err %.4f > bound %.4f)\n"
-            (p *. 100.) stream exact rel bound)
-      quantile_checks;
-  (* The benchmark drives the engine directly (no wire loop), so every
-     query must be admitted and none shed — a nonzero shed here means
-     admission accounting leaked into the engine path. *)
-  if !failures > 0 || hits = 0 || quantile_violation || shed > 0
-     || admitted < queries
-  then begin
-    prerr_endline
-      "service report: failed queries, cold cache, sheds at benchmark load, \
-       or streaming quantile outside documented bound (service bug)";
-    exit 1
-  end;
-  Batlife_numerics.Atomic_io.with_out ~path (fun oc ->
-  Printf.fprintf oc
-    {|{
-  "benchmark": "query service",
-  "population": { "models": %d, "zipf_exponent": %.2f },
-  "queries": { "total": %d, "failed": %d,
-               "mix": "70%% cdf / 20%% percentiles / 10%% stats" },
-  "cache": { "capacity": %d, "hits": %d, "misses": %d,
-             "evictions": %d, "hit_rate": %.4f },
-  "admission": { "admitted": %d, "shed": %d, "shed_rate": %.4f,
-                 "queue_depth_p99": %.1f },
-  "q_star_builds": %d,
-  "latency_seconds": {
-    "mean": %.6f, "p50": %.6f, "p90": %.6f, "p99": %.6f, "max": %.6f
-  },
-  "streaming_latency_seconds": {
-    "p50": %.6f, "p90": %.6f, "p99": %.6f,
-    "rel_error_bound": %.6f, "max_rel_error": %.6f
-  }
-}
-|}
-    population exponent queries !failures cache_capacity hits misses
-    evictions hit_rate admitted shed shed_rate depth_p99 builds mean
-    (pct 0.50) (pct 0.90) (pct 0.99)
-    sorted.(queries - 1) (stream_pct 0.50) (stream_pct 0.90)
-    (stream_pct 0.99) bound max_rel_error);
-  Printf.printf "  wrote %s\n" path
-
 let timing_tests =
   Test.make_grouped ~name:"batlife"
     [
@@ -710,7 +503,6 @@ let () =
   let chaos_json = ref None in
   let chaos_plans = ref 60 in
   let chaos_seed = ref 2007L in
-  let service_json = ref None in
   let serve_chaos_json = ref None in
   let rec parse = function
     | [] -> ()
@@ -725,9 +517,6 @@ let () =
         parse rest
     | "--chaos-report" :: path :: rest ->
         chaos_json := Some path;
-        parse rest
-    | "--service-report" :: path :: rest ->
-        service_json := Some path;
         parse rest
     | "--serve-chaos-report" :: path :: rest ->
         serve_chaos_json := Some path;
@@ -778,13 +567,6 @@ let () =
   (match !serve_chaos_json with
   | Some path ->
       Serve_chaos.report ~path;
-      exit 0
-  | None -> ());
-  (* --service-report runs alone: it measures per-query wall clocks,
-     which interleaved work would pollute. *)
-  (match !service_json with
-  | Some path ->
-      service_report path;
       exit 0
   | None -> ());
   if !mode <> Timing_only then begin
