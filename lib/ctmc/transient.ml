@@ -857,19 +857,25 @@ let eval_measure (row : float array) step m b =
       let hi = if hi < bhi then hi else bhi in
       (* The first index of the progression at or above [blo]; a gap
          reaching past [hi] leaves the sum empty (and never overflows,
-         whatever the stride). *)
+         whatever the stride).  Ranges that miss the support, and unit
+         strides, need no division. *)
       let first =
         if lo >= blo then lo
+        else if stride = 1 || blo >= hi then blo
         else
           let r = (blo - lo) mod stride in
           if r = 0 then blo
           else if stride - r < hi - blo then blo + (stride - r)
           else hi
       in
-      if first < hi then
-        for k = 0 to (hi - 1 - first) / stride do
-          acc := !acc +. Array.unsafe_get v (first + (k * stride))
-        done
+      (* A stride of [bhi] or more reaches past [hi] in one jump, like
+         the stride itself, and keeps [i + jump] from overflowing. *)
+      let jump = if stride < bhi then stride else bhi in
+      let i = ref first in
+      while !i < hi do
+        acc := !acc +. Array.unsafe_get v !i;
+        i := !i + jump
+      done
   | Weighted { slab; weights } ->
       (* Slab by slab, each slab's weight loaded once. *)
       if blo < bhi then
