@@ -1168,7 +1168,3 @@ let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
 let solve ?opts g ~alpha ~t =
   let outs, _ = distribution_sweep ?opts g ~alpha ~times:[| t |] in
   outs.(0)
-
-let expected_hitting_mass ?opts g ~alpha ~states ~t =
-  let pi = solve ?opts g ~alpha ~t in
-  List.fold_left (fun acc i -> acc +. pi.(i)) 0. states

@@ -344,13 +344,3 @@ val distribution_sweep :
     one accumulator vector per time point).  Validates [times] exactly
     like {!measure_sweep}.  Always uses the exact full-support
     kernel. *)
-
-val expected_hitting_mass :
-  ?opts:Solver_opts.t ->
-  Generator.t ->
-  alpha:float array ->
-  states:int list ->
-  t:float ->
-  float
-(** Probability mass on [states] at time [t]; convenience wrapper over
-    {!solve}. *)

@@ -155,10 +155,11 @@ let test_times_validation () =
 
 let test_expected_hitting_mass () =
   let g = Generator.of_rates ~n:2 [ (0, 1, 1.) ] in
-  let m =
-    Transient.expected_hitting_mass g ~alpha:[| 1.; 0. |] ~states:[ 1 ] ~t:3.
+  let m, _ =
+    Transient.measure_sweep g ~alpha:[| 1.; 0. |] ~times:[| 3. |]
+      ~measure:(state_mass 1)
   in
-  check_float ~eps:1e-10 "absorbed mass" (1. -. exp (-3.)) m
+  check_float ~eps:1e-10 "absorbed mass" (1. -. exp (-3.)) m.(0)
 
 let test_multi_measure_matches_single () =
   let g =
