@@ -404,13 +404,8 @@ module Session = struct
 
   let expected_available_charge s ~time =
     let grid = s.d.grid in
-    let func =
-      Transient.Weighted
-        {
-          slab = slab grid;
-          weights = Array.init grid.Grid.levels1 (level_charge grid);
-        }
-    in
+    let weights = Array.init grid.Grid.levels1 (level_charge grid) in
+    let func = Transient.Weighted { slab = slab grid; weights } in
     register s ~times:[| time |] ~funcs:[| func |] (fun out -> out.(0).(0))
 
   (* [Grid.level_value] grows with j1, so the levels whose value
@@ -427,14 +422,8 @@ module Session = struct
       else j1
     in
     let n = n_states s.d in
-    let func =
-      Transient.Sum
-        {
-          lo = Int.min n ((first 1 * slab grid) + mode);
-          hi = n;
-          stride = grid.Grid.n_workload;
-        }
-    in
+    let lo = Int.min n ((first 1 * slab grid) + mode) in
+    let func = Transient.Sum { lo; hi = n; stride = grid.Grid.n_workload } in
     register s ~times:[| time |] ~funcs:[| func |] (fun out -> out.(0).(0))
 end
 

@@ -841,24 +841,22 @@ let check_measures ~where ~n measures =
               (Array.length weights) slab n)
     measures
 
-(* Measure [m] of [b]'s vector, stored at [row.(step)].  Only the live
-   support [\[blo, bhi)] is read: the vector is exactly [0.] outside
-   it, and an exact zero added to a sum that starts at [+0.] changes
-   no bit, so the value is bitwise the ascending sum over the
-   measure's whole index set (for [Weighted], whenever the weights
-   outside the support are finite).  The result goes straight into
-   the series row rather than back across a call, where it would be
-   boxed. *)
+(* Measure [m] of [b]'s vector, stored at [row.(step)] rather than
+   returned, where it would be boxed.  Only the live support
+   [\[blo, bhi)] is read: the vector is exactly [0.] outside it, and
+   an exact zero added to a sum that starts at [+0.] changes no bit,
+   so the value is bitwise the ascending sum over the measure's whole
+   index set (for [Weighted], when the weights outside the support are
+   finite).  [Weighted] walks slab by slab, each weight loaded once. *)
 let eval_measure (row : float array) step m b =
   let v = b.v and blo = b.blo and bhi = b.bhi in
   let acc = ref 0. in
   (match m with
   | Sum { lo; hi; stride } ->
       let hi = if hi < bhi then hi else bhi in
-      (* The first index of the progression at or above [blo]; a gap
-         reaching past [hi] leaves the sum empty (and never overflows,
-         whatever the stride).  Ranges that miss the support, and unit
-         strides, need no division. *)
+      (* The first index of the progression at or above [blo], found
+         without overflow whatever the stride, and without a division
+         for unit strides or ranges that miss the support. *)
       let first =
         if lo >= blo then lo
         else if stride = 1 || blo >= hi then blo
@@ -877,7 +875,6 @@ let eval_measure (row : float array) step m b =
         i := !i + jump
       done
   | Weighted { slab; weights } ->
-      (* Slab by slab, each slab's weight loaded once. *)
       if blo < bhi then
         for s = blo / slab to (bhi - 1) / slab do
           let w = Array.unsafe_get weights s in

@@ -141,38 +141,31 @@ type sweep_progress = {
 
 (** {1 Measures}
 
-    A measure is a linear functional of the distribution, given as
-    data: the sweep evaluates it itself on every iterate and writes
-    the value straight into the measure's per-step series.  Two shapes
-    cover every functional of a strided flat layout, such as the
-    workload-state-fastest layout of [Batlife_core.Grid]:
-
-    - [Sum { lo; hi; stride }] is [v.(lo) +. v.(lo + stride) +. ...]
-      over the indices below [hi];
-    - [Weighted { slab; weights }] is the sum of
-      [weights.(i / slab) *. v.(i)] over all [n] states, one weight
-      per slab of [slab] consecutive states ([slab = 1] is a plain dot
-      product with [weights]).
-
-    Each sum runs in ascending index order from [+0.], adding
-    [v.(i)] (resp. [w *. v.(i)]) one term at a time.  The sweep reads
-    only the iterate's live support — the index hull outside which
+    A measure is a linear functional of the distribution, given as a
+    plain value: the sweep evaluates it on every iterate and writes
+    the value straight into the measure's per-step series.  Each sum
+    runs in ascending index order from [+0.], one term at a time, over
+    the iterate's live support only — the index hull outside which
     every entry is exactly [0.] (all of [\[0, n)] for the full-support
-    kernel) — which skips only exact-zero terms and changes no bit of
-    the result.  A [Weighted] measure's weights are likewise read only
-    over the live support: a non-finite weight on a slab the iterate
-    never reaches does not reach the result.
+    kernel) — which skips only exact-zero terms and changes no bit.
+    [Weighted] weights are likewise read only over the live support,
+    so a non-finite weight on a slab the iterate never reaches does
+    not reach the result.
 
     Every sweep validates its measures once, raising
     [Invalid_argument] unless each [Sum] has [0 <= lo <= hi <= n] and
     [stride >= 1], and each [Weighted] has [slab >= 1] and a weight for
-    every slab of the [n] states.  Measures are plain values: equal
-    measures compare equal, so callers can key and share them (the
-    session layer gives equal functionals of one flush one series). *)
+    every slab of the [n] states.  Equal measures compare equal, so
+    callers can key and share them. *)
 
 type measure =
   | Sum of { lo : int; hi : int; stride : int }
+      (** [v.(lo) +. v.(lo + stride) +. ...] over the indices below
+          [hi] *)
   | Weighted of { slab : int; weights : float array }
+      (** [weights.(i / slab) *. v.(i)] summed over all [n] states: one
+          weight per slab of [slab] consecutive states ([slab = 1] is a
+          dot product with [weights]) *)
 
 (** {1 Work counters}
 

@@ -168,18 +168,18 @@ let test_outside_window_exact_zero () =
    whole index set, computed here on the full iterate. *)
 let fig7_states = 146
 
-let explicit_sum (v : float array) = function
-  | Transient.Sum { lo; hi; stride } ->
-      let acc = ref 0. in
-      if lo < hi then
-        for k = 0 to (hi - 1 - lo) / stride do
-          acc := !acc +. v.(lo + (k * stride))
-        done;
-      !acc
-  | Transient.Weighted { slab; weights } ->
-      let acc = ref 0. in
-      Array.iteri (fun i x -> acc := !acc +. (weights.(i / slab) *. x)) v;
-      !acc
+let explicit_sum (v : float array) m =
+  let acc = ref 0. in
+  Array.iteri
+    (fun i x ->
+      match m with
+      | Transient.Sum { lo; hi; stride } ->
+          if lo <= i && i < hi && (i - lo) mod stride = 0 then
+            acc := !acc +. x
+      | Transient.Weighted { slab; weights } ->
+          acc := !acc +. (weights.(i / slab) *. x))
+    v;
+  !acc
 
 let measure_arb n =
   let open QCheck.Gen in
@@ -253,13 +253,13 @@ let prop_readout_over_live_support =
    the same small figure, and the 22 functionals of a two-well
    dashboard refresh must cost at most 2 words per product more than
    one sum. *)
-let words_per_product ?measures model ~delta =
+let words_per_product
+    ?(measures = fun d -> [| total_mass (Discretized.n_states d) |]) model
+    ~delta =
   let d = Discretized.build ~delta model in
   let g = d.Discretized.generator and alpha = d.Discretized.alpha in
   let n = Discretized.n_states d in
-  let measures =
-    match measures with Some f -> f d | None -> [| total_mass n |]
-  in
+  let measures = measures d in
   let q = Transient.resolve_rate g in
   let kernel = Transient.make_kernel g in
   let buffers = (Array.make n 0., Array.make n 0.) in
@@ -299,12 +299,7 @@ let dashboard_measures d =
         Array.init k (fun m -> Transient.Sum { lo = m; hi = n; stride = k });
         [|
           Transient.Weighted
-            {
-              slab;
-              weights =
-                Array.init levels1 (fun j1 ->
-                    float_of_int j1 *. grid.Grid.delta);
-            };
+            { slab; weights = Array.init levels1 float_of_int };
           Transient.Sum { lo = (levels1 / 2 * slab) + 1; hi = n; stride = k };
         |];
       ]

@@ -36,9 +36,6 @@ let three_state () =
 
 let alpha3 = [| 1.; 0.; 0. |]
 
-(* The probability of state 2. *)
-let state2 = Transient.Sum { lo = 2; hi = 3; stride = 1 }
-
 (* ------------------------------------------------------------------ *)
 (* Validation reports                                                  *)
 
@@ -94,7 +91,7 @@ let test_mass_guard_trips () =
   check_error "mass drift detected" is_breakdown (fun () ->
       ignore
         (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |]
-           ~measure:state2))
+           ~measure:(state_mass 2)))
 
 (* A NaN weight on state 0, where alpha puts its mass: the measure is
    NaN from step 0 on, and the sweep must refuse to fold it. *)
@@ -114,7 +111,7 @@ let test_nan_in_generator () =
   check_error "non-finite iterate detected" is_breakdown (fun () ->
       ignore
         (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |]
-           ~measure:state2));
+           ~measure:(state_mass 2)));
   (* A NaN diagonal is caught before the sweep would hang in the
      Poisson truncation. *)
   let g2 = three_state () in
@@ -131,7 +128,7 @@ let test_q_override_rejected () =
       ignore
         (Transient.measure_sweep ~opts:(with_q 0.5) g ~alpha:alpha3
            ~times:[| 1. |]
-           ~measure:state2));
+           ~measure:(state_mass 2)));
   check_error "negative q rejected" is_invalid_model (fun () ->
       ignore (Transient.solve ~opts:(with_q (-1.)) g ~alpha:alpha3 ~t:1.));
   check_error "session create rejects low q" is_invalid_model (fun () ->
