@@ -209,10 +209,11 @@ module Session = struct
   (* Resident-byte estimate of everything the session (and the
      Discretized.t it pins) keeps alive: the generator CSR, the initial
      distribution, the kernel transpose, the sweep buffers and the
-     cached Fox–Glynn windows.  An estimate, not an accounting: boxing and hashtable overhead are
-     approximated with small per-entry constants.  Monotone in what
-     has actually been built, so a fresh session is cheap and the
-     byte-budgeted cache re-reads it after each use. *)
+     cached Fox–Glynn windows.  An estimate, not an accounting: boxing
+     and hashtable overhead are approximated with small per-entry
+     constants.  Monotone in what has actually been built, so a fresh
+     session is cheap and the byte-budgeted cache re-reads it after
+     each use. *)
   let approx_bytes s =
     let n = n_states s.d in
     let sparse_bytes (m : Sparse.t) =

@@ -191,9 +191,10 @@ module Session : sig
   val approx_bytes : session -> int
   (** Estimated resident bytes of the session and the {!t} it pins:
       generator CSR nonzeros, initial distribution, kernel transpose,
-      sweep buffers and cached Fox–Glynn windows.  Grows as the session warms up
-      (kernel build, new windows), so byte-budgeted callers should
-      re-read it after each use.  An estimate — per-entry boxing and
-      hashtable overhead are approximated by constants. *)
+      sweep buffers and cached Fox–Glynn windows.  Grows as the
+      session warms up (kernel build, new windows), so byte-budgeted
+      callers should re-read it after each use.  An estimate —
+      per-entry boxing and hashtable overhead are approximated by
+      constants. *)
 end
 

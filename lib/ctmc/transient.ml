@@ -914,6 +914,7 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
   check_alpha g alpha;
   let where = "Transient.multi_measure_sweep" in
   check_times ~where times;
+  check_measures ~where ~n:(Generator.n_states g) measures;
   Solver_opts.request_telemetry opts;
   Telemetry.incr c_sweeps;
   Telemetry.with_span "transient.multi_measure_sweep" @@ fun () ->
@@ -939,7 +940,6 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
   let tau, budget_skip = resolve_pruning ~opts ~n_max in
   let tol = opts.Solver_opts.convergence_tol in
   let mass0 = Vector.sum alpha in
-  check_measures ~where ~n measures;
   let k = Array.length measures in
   (* vals.(j).(m) is measure j evaluated on the step-m iterate. *)
   let vals = Array.make_matrix k (n_max + 1) 0. in

@@ -2,7 +2,8 @@
 
     Two layers live here.  The ad-hoc helpers ({!corrupt_row_sum},
     {!inject_nan}, {!transient}) sabotage a model or callback
-    directly, for unit tests that hold the object in hand.  The {b site registry} ({!Fi}, re-exported from
+    directly, for unit tests that hold the object in hand.  The
+    {b site registry} ({!Fi}, re-exported from
     {!Batlife_numerics.Fi}) is the production-grade layer: named,
     seeded injection points compiled into the hot paths themselves —
     [Atomic_io] write/rename/fsync/short-write, [Checkpoint] load

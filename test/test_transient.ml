@@ -217,7 +217,7 @@ let test_measure_validation () =
       ("negative start", Transient.Sum { lo = -1; hi = 2; stride = 1 });
       ("inverted range", Transient.Sum { lo = 2; hi = 1; stride = 1 });
       ("zero stride", Transient.Sum { lo = 0; hi = 3; stride = 0 });
-      ("zero slab", Transient.Weighted { slab = 0; weights = [| 1.; 1.; 1. |] });
+      ("zero slab", Transient.Weighted { slab = 0; weights = [| 1.; 1. |] });
       ( "weights short of n states",
         Transient.Weighted { slab = 2; weights = [| 1. |] } );
     ];
