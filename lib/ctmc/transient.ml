@@ -887,14 +887,18 @@ let eval_measure (row : float array) step m b =
         done);
   Array.unsafe_set row step !acc
 
-(* The batched engine: the sequence v_n = alpha P^n is walked ONCE and
+(* The one power loop: the sequence v_n = alpha P^n is walked ONCE and
    every registered linear functional is evaluated at every step; each
    (measure, time) result is then a Poisson-weighted scalar sum of the
    measure's per-step series.  Any number of measures and time points
    therefore cost a single power sweep.  Returns the series, the
-   windows and the stats; the two public entry points below either
-   fold every (measure, time) pair or hand the series to a caller that
-   folds only the pairs it needs.
+   windows and the stats; the public entry points below either fold
+   every (measure, time) pair or hand the series to a caller that
+   folds only the pairs it needs.  [outs], one vector per time point
+   (or none), receives the full distributions instead: each iterate is
+   added into [outs.(i)] weighted by window [i]'s Poisson probability,
+   and the readout is skipped outright when there are no vectors, so
+   the measure path pays nothing for it.
 
    [progress] is invoked after every completed step with a lazy
    snapshot thunk (the copy is only paid when the caller decides to
@@ -908,16 +912,16 @@ let eval_measure (row : float array) step m b =
    same tile scan whose output the pruner maintains live (no active
    tile is ever all-zero) — which is what makes resumed results
    bitwise equal. *)
-let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
-    ?(progress = Progress.none) g ~alpha ~times ~measures =
+let series_sweep ?(where = "Transient.multi_measure_sweep")
+    ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
+    ?(progress = Progress.none) ?(outs = [||]) g ~alpha ~times ~measures =
   let { Progress.on_step; on_interrupt; resume } = progress in
   check_alpha g alpha;
-  let where = "Transient.multi_measure_sweep" in
   check_times ~where times;
   check_measures ~where ~n:(Generator.n_states g) measures;
   Solver_opts.request_telemetry opts;
   Telemetry.incr c_sweeps;
-  Telemetry.with_span "transient.multi_measure_sweep" @@ fun () ->
+  Telemetry.with_span (String.uncapitalize_ascii where) @@ fun () ->
   let n = Generator.n_states g in
   let q = resolve_q where ?q:opts.Solver_opts.unif_rate g in
   let budget = Solver_opts.resolve_budget opts in
@@ -948,6 +952,13 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
   in
   let current = ref v and scratch = ref v' in
   let skipped = ref 0. in
+  let read_out m b =
+    Array.iteri
+      (fun i w ->
+        let weight = Poisson.prob w m in
+        if weight > 0. then Vector.axpy ~alpha:weight ~x:b.v ~y:outs.(i))
+      windows
+  in
   let record m b =
     for j = 0 to k - 1 do
       let row = vals.(j) in
@@ -955,7 +966,8 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
       if Float.is_nan row.(m) then
         Diag.breakdown ~where "measure %d is NaN at uniformisation step %d" j
           m
-    done
+    done;
+    if Array.length outs > 0 then read_out m b
   in
   let converged_at = ref None in
   let start =
@@ -1040,14 +1052,19 @@ let series_sweep ?(opts = Solver_opts.default) ?windows ?buffers ?kernel
     | None -> ());
     incr m
   done;
-  (* If the chain became stationary, later measures are constant. *)
+  (* If the chain became stationary, later measures are constant and
+     later iterates are the last one. *)
   (match !converged_at with
   | Some at ->
       for j = 0 to k - 1 do
         for i = at + 1 to n_max do
           vals.(j).(i) <- vals.(j).(at)
         done
-      done
+      done;
+      if Array.length outs > 0 then
+        for i = at + 1 to n_max do
+          read_out i !current
+        done
   | None -> ());
   let iterations = match !converged_at with Some at -> at | None -> n_max in
   Telemetry.observe_int h_iterations iterations;
@@ -1097,70 +1114,19 @@ let measure_sweep ?opts ?windows ?buffers ?kernel ?progress g ~alpha ~times
   in
   (results.(0), stats)
 
+(* The exact readout of the driver: the full-support kernel, and a
+   zero tolerance, under which the sweep stops only at an iterate that
+   repeats bitwise — every later one would be the same vector — so it
+   returns what a sweep through the largest right edge returns. *)
 let distribution_sweep ?(opts = Solver_opts.default) g ~alpha ~times =
-  check_alpha g alpha;
-  let where = "Transient.distribution_sweep" in
-  check_times ~where times;
-  Solver_opts.request_telemetry opts;
-  Telemetry.incr c_sweeps;
-  Telemetry.with_span "transient.distribution_sweep" @@ fun () ->
-  let n = Generator.n_states g in
-  let q = resolve_q where ?q:opts.Solver_opts.unif_rate g in
-  let budget = Solver_opts.resolve_budget opts in
-  Budget.note_sweep budget;
-  Budget.check ~what:where budget;
-  let kernel = kernel_for g ~q ~jobs:(Solver_opts.resolve_jobs opts) in
-  let windows =
-    Array.map
-      (fun t -> Poisson.weights ~accuracy:opts.Solver_opts.accuracy (q *. t))
-      times
+  let outs = Array.map (fun _ -> Vector.create (Generator.n_states g)) times in
+  let _, _, stats =
+    series_sweep ~where:"Transient.distribution_sweep"
+      ~opts:
+        { opts with Solver_opts.adaptive_support = false; convergence_tol = 0. }
+      ~outs g ~alpha ~times ~measures:[||]
   in
-  let n_max =
-    Array.fold_left (fun acc w -> max acc w.Poisson.right) 0 windows
-  in
-  let mass0 = Vector.sum alpha in
-  let outs = Array.map (fun _ -> Vector.create n) times in
-  (* Full per-time distributions are the deliverable here, so the
-     exact full-support kernel is kept. *)
-  let w, v, v' =
-    sweep_buffers ~where ~n ~parts:kernel.k_parts ~alpha ~adaptive:false None
-  in
-  let current = ref v and scratch = ref v' in
-  for m = 0 to n_max do
-    if m > 0 then begin
-      Budget.note_product budget;
-      Budget.check ~what:where budget;
-      step_window kernel w ~src:!current ~dst:!scratch ~adaptive:false;
-      let t = !current in
-      current := !scratch;
-      scratch := t;
-      guard_iterate ~where ~mass0 ~step:m ~skipped:0. !current
-    end;
-    Array.iteri
-      (fun idx w ->
-        let weight = Poisson.prob w m in
-        if weight > 0. then
-          Vector.axpy ~alpha:weight ~x:(!current).v ~y:outs.(idx))
-      windows
-  done;
-  Telemetry.observe_int h_iterations n_max;
-  let mass_residual, fg_defect =
-    verify_sweep ~where ~accuracy:opts.Solver_opts.accuracy ~mass0 ~windows
-      ~skipped:0. ~budget_skip:0. !current
-  in
-  ( outs,
-    {
-      iterations = n_max;
-      converged_at = None;
-      uniformisation_rate = q;
-      mass_residual;
-      fg_defect;
-      touched_nnz = w.touched;
-      active_rows = w.rows;
-      support_lo = 0;
-      support_hi = n;
-      skipped_mass = 0.;
-    } )
+  (outs, stats)
 
 let solve ?opts g ~alpha ~t =
   let outs, _ = distribution_sweep ?opts g ~alpha ~times:[| t |] in

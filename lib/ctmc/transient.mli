@@ -60,6 +60,12 @@
     return full distributions and always use the exact full-support
     kernel.
 
+    {b One power loop.}  Every entry point runs the same sweep driver.
+    The batched engine records its measures per step;
+    {!distribution_sweep} instead adds each iterate into one vector per
+    time point, weighted by that time's Poisson probability, and turns
+    the early stop off (see there).
+
     All entry points are guarded: a user-supplied uniformisation rate
     [q] below the chain's largest exit rate is rejected with
     [Diag.Error (Invalid_model _)] (the uniformised matrix would have
@@ -335,5 +341,10 @@ val distribution_sweep :
   float array array * stats
 (** Full distributions at several time points from one sweep (memory:
     one accumulator vector per time point).  Validates [times] exactly
-    like {!measure_sweep}.  Always uses the exact full-support
-    kernel. *)
+    like {!measure_sweep}.  This is the exact sweep: it uses the
+    full-support kernel whatever [opts.adaptive_support] says, and it
+    never stops early — it ignores [opts.convergence_tol] and stops
+    short of the largest Fox–Glynn right edge only at an iterate that
+    repeats bitwise, when every later iterate would be the same vector,
+    so the result is that of the full walk.  The errors and the
+    Telemetry span carry its name. *)

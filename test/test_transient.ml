@@ -103,6 +103,46 @@ let test_distribution_sweep () =
         (Vector.approx_equal ~tol:1e-10 direct dists.(i)))
     times
 
+(* distribution_sweep is the exact sweep the benchmark oracle and the
+   tests compare against, so it must not inherit the served path's
+   early stop.  On fig-7 (1 Hz, delta 100) with times up to 40000 s
+   the L-infinity test stops multi_measure_sweep at step 61181;
+   distribution_sweep runs every product up to the largest Fox-Glynn
+   right edge. *)
+let test_distribution_sweep_never_stops_early () =
+  let d =
+    Batlife_core.Discretized.build ~delta:100.
+      (Batlife_core.Kibamrm.create
+         ~workload:
+           (Batlife_workload.Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96
+              ())
+         ~battery:(Batlife_battery.Kibam.params ~capacity:7200. ~c:1. ~k:0.))
+  in
+  let g = d.Batlife_core.Discretized.generator
+  and alpha = d.Batlife_core.Discretized.alpha in
+  let times = Array.init 8 (fun i -> 5000. *. float_of_int (i + 1)) in
+  let c_products = Telemetry.counter "transient.products" in
+  let counted f =
+    let p0 = Telemetry.value c_products in
+    let stats = f () in
+    (stats, Telemetry.value c_products - p0)
+  in
+  let stats, products =
+    counted (fun () -> snd (Transient.distribution_sweep g ~alpha ~times))
+  in
+  check_int "products through the largest right edge" 84_070 products;
+  check_int "iterations" 84_070 stats.Transient.iterations;
+  check_true "no early stop" (stats.Transient.converged_at = None);
+  let stats, products =
+    counted (fun () ->
+        snd
+          (Transient.multi_measure_sweep g ~alpha ~times
+             ~measures:[| total_mass (Array.length alpha) |]))
+  in
+  check_int "the served path stops early" 61_181 products;
+  check_true "at the step it reports"
+    (stats.Transient.converged_at = Some 61_181)
+
 let test_absorbing_mass_monotone () =
   let g = Generator.of_rates ~n:3 [ (0, 1, 1.); (1, 2, 2.) ] in
   let alpha = [| 1.; 0.; 0. |] in
@@ -268,6 +308,8 @@ let suite =
     case "measure sweep with unsorted times" test_measure_sweep_unsorted_times;
     case "convergence detection" test_convergence_detection;
     case "distribution sweep" test_distribution_sweep;
+    case "distribution sweep never stops early"
+      test_distribution_sweep_never_stops_early;
     case "absorbing mass monotone" test_absorbing_mass_monotone;
     case "validation" test_validation;
     case "time-grid validation is structured" test_times_validation;
