@@ -239,10 +239,6 @@ let make_kernel ?(opts = Solver_opts.default) g =
   let q = resolve_q "Transient.make_kernel" ?q:opts.Solver_opts.unif_rate g in
   kernel_for g ~q ~jobs:(Solver_opts.resolve_jobs opts)
 
-let kernel_rate k = k.k_rate
-let kernel_jobs k = Pool.size k.k_pool
-let kernel_bandwidths k = (k.k_down, k.k_up)
-
 (* Resident-byte estimate of the kernel's own allocations: the CSR
    transpose (float64 values + int32 column stream + int row pointers)
    plus the cached partition and displacement set.  The pool is shared

@@ -214,18 +214,6 @@ val make_kernel : ?opts:Solver_opts.t -> Generator.t -> kernel
     [Solver_opts.resolve_jobs opts] domains).  Validates the rate like
     {!resolve_rate}. *)
 
-val kernel_rate : kernel -> float
-(** The uniformisation rate the kernel's matrix was built with. *)
-
-val kernel_jobs : kernel -> int
-(** The worker count of the kernel's pool. *)
-
-val kernel_bandwidths : kernel -> int * int
-(** [(down, up)]: the largest index decrease / increase any stored
-    transition of the uniformised matrix causes.  The adaptive kernel
-    normally expands the support along the distinct displacement set;
-    the bandwidths bound that set and serve as its fallback. *)
-
 val kernel_bytes : kernel -> int
 (** Estimated resident bytes of the kernel's own allocations — the CSR
     transpose of the uniformised matrix (the dominant term: 12 bytes
