@@ -47,9 +47,7 @@ let fi_step_nan = Fi.site "transient.step_nan"
 let fi_step_overflow = Fi.site "transient.step_overflow"
 
 let h_iterations =
-  Telemetry.histogram
-    ~buckets:[| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 5000. |]
-    "transient.sweep_iterations"
+  Telemetry.histogram ~lo:1. ~hi:1e7 "transient.sweep_iterations"
 
 let check_alpha g alpha =
   if Array.length alpha <> Generator.n_states g then

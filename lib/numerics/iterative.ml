@@ -5,10 +5,7 @@ exception Did_not_converge of result
 let c_solves = Telemetry.counter "iterative.solves"
 let c_fallbacks = Telemetry.counter "iterative.fallbacks"
 
-let h_iterations =
-  Telemetry.histogram
-    ~buckets:[| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 500.; 1000.; 10000.; 100000. |]
-    "iterative.iterations"
+let h_iterations = Telemetry.histogram ~lo:1. ~hi:1e6 "iterative.iterations"
 
 let check_square (a : Sparse.t) b =
   if a.Sparse.rows <> a.Sparse.cols then

@@ -10,10 +10,7 @@ let c_windows = Telemetry.counter "poisson.windows"
 (* Window width drives sweep cost (one vector-matrix product per term),
    so the distribution of widths is the first thing to look at when a
    model is slow. *)
-let h_window =
-  Telemetry.histogram
-    ~buckets:[| 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.; 4096.; 16384. |]
-    "poisson.window_size"
+let h_window = Telemetry.histogram ~lo:1. ~hi:1e6 "poisson.window_size"
 
 (* The weights decrease monotonically away from the mode, so recurring
    outwards from the mode never overflows once the mode weight is

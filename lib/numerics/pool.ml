@@ -94,17 +94,14 @@ let supervised_share ~retried f w =
         incr attempt
   done
 
-let latency_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10.; 100. |]
-
 (* Fork-join barrier wall time, caller's view: publish -> all workers
    done.  One observation per section, so enabling telemetry adds two
    clock reads per sweep step — noise next to the matvec it brackets. *)
-let h_section = Telemetry.histogram ~buckets:latency_buckets "pool.section_seconds"
+let h_section = Telemetry.histogram "pool.section_seconds"
 
 (* Per-task latency of [map_array] items, observed on the worker domain
    that ran the task. *)
-let h_task = Telemetry.histogram ~buckets:latency_buckets "pool.task_seconds"
+let h_task = Telemetry.histogram "pool.task_seconds"
 
 let seconds_since start_ns =
   Int64.to_float (Int64.sub (Telemetry.now_ns ()) start_ns) /. 1e9

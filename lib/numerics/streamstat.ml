@@ -77,8 +77,8 @@ module Hist = struct
     if n = 0 then nan
     else begin
       let rank =
-        (* Same convention bench/main.ml uses on sorted samples:
-           index floor(p * n), clamped to the last sample. *)
+        (* The rank of sorting the samples and indexing
+           floor(p * n), clamped to the last sample. *)
         let r = int_of_float (p *. float_of_int n) in
         if r < 0 then 0 else if r >= n then n - 1 else r
       in
@@ -133,7 +133,7 @@ module Window = struct
       mutex = Mutex.create ();
     }
 
-  let now_default = function Some t -> t | None -> Telemetry.now_ns ()
+  let now_default = function Some t -> t | None -> Monotonic_clock.now ()
 
   (* Callers hold the mutex.  A ring cell is live iff its epoch is
      within [slots] of the current one; anything older is retired

@@ -79,8 +79,9 @@ end
     A ring of [slots] sub-interval counters covering the trailing
     [span_s] seconds.  Each update or read first retires slots older
     than the window (O(slots)), so state never grows with traffic.
-    Time is taken from {!Telemetry.now_ns} unless the caller supplies
-    [~now_ns] — tests inject a synthetic clock for determinism. *)
+    Time is taken from the monotonic clock of {!Telemetry.now_ns}
+    unless the caller supplies [~now_ns] — tests inject a synthetic
+    clock for determinism. *)
 module Window : sig
   type t
 

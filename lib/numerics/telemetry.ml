@@ -5,9 +5,10 @@
    1. Zero-cost when off.  Every gated probe ([with_span], [observe],
       [set_gauge]) begins with one atomic load and branch; the default
       state records nothing and allocates nothing.
-   2. Domain safety.  Counter/gauge/histogram cells are [Atomic];
-      completed spans go either to the current domain's capture buffer
-      (a DLS cell, no sharing) or to a mutex-protected global sink.
+   2. Domain safety.  Counter/gauge cells and the buckets of the
+      [Streamstat.Hist] histograms are [Atomic]; completed spans go
+      either to the current domain's capture buffer (a DLS cell, no
+      sharing) or to a mutex-protected global sink.
       Span nesting state is per-domain (DLS), never shared.
    3. Determinism where it matters.  [capture]/[replay] mirror
       [Diag.capture]/[Diag.replay] exactly, so a parallel fan-out can
@@ -38,32 +39,23 @@ let disable () = Atomic.set enabled_flag false
 
 type counter = { c_name : string; c_cell : int Atomic.t }
 type gauge = { g_name : string; g_cell : float Atomic.t }
-
-type histogram = {
-  h_name : string;
-  h_bounds : float array;  (* strictly increasing upper bounds *)
-  h_counts : int Atomic.t array;  (* length = bounds + 1; overflow last *)
-  h_sum : float Atomic.t;
-  h_max : float Atomic.t;
-}
+type histogram = Streamstat.Hist.t
 
 let registry_mutex = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
+(* [make] may raise (a histogram's range is validated on creation), so
+   the lock is released on every exit. *)
 let intern table name make =
-  Mutex.lock registry_mutex;
-  let cell =
-    match Hashtbl.find_opt table name with
-    | Some c -> c
-    | None ->
-        let c = make () in
-        Hashtbl.add table name c;
-        c
-  in
-  Mutex.unlock registry_mutex;
-  cell
+  Mutex.protect registry_mutex (fun () ->
+      match Hashtbl.find_opt table name with
+      | Some c -> c
+      | None ->
+          let c = make () in
+          Hashtbl.add table name c;
+          c)
 
 let counter name =
   intern counters name (fun () -> { c_name = name; c_cell = Atomic.make 0 })
@@ -80,47 +72,10 @@ let gauge name =
 let set_gauge g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
 let gauge_value g = Atomic.get g.g_cell
 
-let default_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6 |]
+let histogram ?lo ?hi name =
+  intern histograms name (fun () -> Streamstat.Hist.create ?lo ?hi ())
 
-let histogram ?(buckets = default_buckets) name =
-  if Array.length buckets = 0 then
-    invalid_arg "Telemetry.histogram: need at least one bucket bound";
-  Array.iteri
-    (fun i b ->
-      if i > 0 && not (buckets.(i - 1) < b) then
-        invalid_arg "Telemetry.histogram: bounds must be strictly increasing")
-    buckets;
-  intern histograms name (fun () ->
-      {
-        h_name = name;
-        h_bounds = Array.copy buckets;
-        h_counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-        h_sum = Atomic.make 0.0;
-        h_max = Atomic.make neg_infinity;
-      })
-
-(* Atomic float accumulation: OCaml's [Atomic.t] compares the boxed
-   value physically, so a CAS loop over get/compute/set is the portable
-   read-modify-write. *)
-let rec atomic_update cell f =
-  let old = Atomic.get cell in
-  if not (Atomic.compare_and_set cell old (f old)) then atomic_update cell f
-
-let bucket_index bounds v =
-  (* First bucket whose upper bound admits [v]; NaN and +inf land in
-     the overflow bucket. *)
-  let n = Array.length bounds in
-  let rec go i = if i >= n then n else if v <= bounds.(i) then i else go (i + 1) in
-  go 0
-
-let observe h v =
-  if Atomic.get enabled_flag then begin
-    ignore (Atomic.fetch_and_add h.h_counts.(bucket_index h.h_bounds v) 1);
-    atomic_update h.h_sum (fun s -> s +. v);
-    atomic_update h.h_max (fun m -> Float.max m v)
-  end
-
+let observe h v = if Atomic.get enabled_flag then Streamstat.Hist.observe h v
 let observe_int h n = observe h (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
@@ -262,7 +217,7 @@ let snapshot () =
   Mutex.lock registry_mutex;
   let cs = Hashtbl.fold (fun _ c acc -> c :: acc) counters [] in
   let gs = Hashtbl.fold (fun _ g acc -> g :: acc) gauges [] in
-  let hs = Hashtbl.fold (fun _ h acc -> h :: acc) histograms [] in
+  let hs = Hashtbl.fold (fun name h acc -> (name, h) :: acc) histograms [] in
   Mutex.unlock registry_mutex;
   {
     snap_spans = spans;
@@ -274,15 +229,18 @@ let snapshot () =
       sorted_by_name
         (fun h -> h.hs_name)
         (List.map
-           (fun h ->
-             let counts = Array.map Atomic.get h.h_counts in
+           (fun (name, h) ->
+             (* The overflow bucket comes last, with bound [infinity]. *)
+             let buckets = Streamstat.Hist.snapshot h in
+             let counts = Array.map snd buckets in
              {
-               hs_name = h.h_name;
-               hs_bounds = Array.copy h.h_bounds;
+               hs_name = name;
+               hs_bounds = Array.sub (Array.map fst buckets) 0
+                   (Array.length buckets - 1);
                hs_counts = counts;
                hs_total = Array.fold_left ( + ) 0 counts;
-               hs_sum = Atomic.get h.h_sum;
-               hs_max = Atomic.get h.h_max;
+               hs_sum = Streamstat.Hist.sum h;
+               hs_max = Streamstat.Hist.max_seen h;
              })
            hs);
   }
@@ -294,12 +252,7 @@ let reset () =
   Mutex.lock registry_mutex;
   Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) counters;
   Hashtbl.iter (fun _ g -> Atomic.set g.g_cell 0.0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun c -> Atomic.set c 0) h.h_counts;
-      Atomic.set h.h_sum 0.0;
-      Atomic.set h.h_max neg_infinity)
-    histograms;
+  Hashtbl.iter (fun _ h -> Streamstat.Hist.reset h) histograms;
   Mutex.unlock registry_mutex
 
 (* ------------------------------------------------------------------ *)

@@ -11,9 +11,9 @@
       work-accounting backbone ("this batch cost one sweep") that tests
       and benchmarks rely on, and an atomic increment per sweep-level
       event is free compared to the work it counts.
-    - {b histograms}: fixed-bucket distributions (window sizes,
-      iteration counts, per-task latencies).  Recorded only while
-      {!enabled}.
+    - {b histograms}: log-bucketed {!Streamstat.Hist} distributions
+      (window sizes, iteration counts, per-task latencies).  Recorded
+      only while {!enabled}.
     - {b spans}: hierarchically nested timed sections on a monotonic
       clock.  Recorded only while {!enabled}.
 
@@ -76,17 +76,21 @@ val gauge_value : gauge -> float
 
 (** {1 Histograms}
 
-    Fixed upper-bound buckets plus an overflow bucket; observation [v]
-    lands in the first bucket with [v <= bound].  Counts are atomic;
-    observations are gated on {!enabled}. *)
+    Each named histogram is a {!Streamstat.Hist.t}: geometric bucket
+    bounds from [lo] up to [hi], 20 per decade, plus an overflow
+    bucket.  Values at or below [lo] share the first bucket, values
+    past the last bound land in the overflow bucket, and NaN is not
+    counted.  Counts are atomic; observations are gated on
+    {!enabled}. *)
 
-type histogram
+type histogram = Streamstat.Hist.t
 
-val histogram : ?buckets:float array -> string -> histogram
-(** Interned by name like counters.  [buckets] (strictly increasing
-    upper bounds) is honoured on the first creation of a name;
-    later calls return the existing histogram unchanged.  The default
-    buckets are decades from 1e-6 to 1e6. *)
+val histogram : ?lo:float -> ?hi:float -> string -> histogram
+(** Interned by name like counters.  [lo] and [hi] are honoured on the
+    first creation of a name; later calls return the existing
+    histogram unchanged.  The defaults are those of
+    {!Streamstat.Hist.create}, [1e-6] and [1e3]: latencies in seconds.
+    Raises [Invalid_argument] unless [0 < lo < hi]. *)
 
 val observe : histogram -> float -> unit
 val observe_int : histogram -> int -> unit

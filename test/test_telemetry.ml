@@ -43,7 +43,7 @@ let test_disabled_is_passthrough () =
   Telemetry.reset ();
   let c = Telemetry.counter "test.gating.counter" in
   let g = Telemetry.gauge "test.gating.gauge" in
-  let h = Telemetry.histogram ~buckets:[| 1.; 10. |] "test.gating.hist" in
+  let h = Telemetry.histogram "test.gating.hist" in
   let v =
     Telemetry.with_span "test.gating.span" (fun () ->
         Telemetry.incr c;
@@ -189,24 +189,37 @@ let find_hist name =
 
 let test_histogram_bucket_edges () =
   with_telemetry @@ fun () ->
-  let h = Telemetry.histogram ~buckets:[| 1.; 2.; 4. |] "test.hist.edges" in
-  (* An observation lands in the first bucket with v <= bound; bounds
-     themselves are inclusive, anything past the last bound (and NaN)
-     overflows. *)
-  List.iter (Telemetry.observe h)
-    [ 0.5; 1.0; 1.5; 2.0; 2.5; 4.0; 4.5; Float.nan ];
+  let h = Telemetry.histogram ~lo:1. ~hi:100. "test.hist.edges" in
+  (* Log buckets from lo = 1 to hi = 100: values at or below lo share
+     the first bucket, values past the last bound overflow, and NaN is
+     not counted. *)
+  List.iter (Telemetry.observe h) [ 0.25; 1.0; 5.; 1000.; Float.nan ];
   let hs = find_hist "test.hist.edges" in
-  Alcotest.(check (array int)) "bucket counts" [| 2; 2; 2; 2 |]
-    (Array.of_list (Array.to_list hs.Telemetry.hs_counts));
-  check_int "total" 8 hs.Telemetry.hs_total;
-  (* Sum and max on a NaN-free histogram. *)
-  let h2 = Telemetry.histogram ~buckets:[| 10. |] "test.hist.sum" in
+  let bounds = hs.Telemetry.hs_bounds and counts = hs.Telemetry.hs_counts in
+  let nb = Array.length bounds in
+  check_int "one count per bound plus the overflow" (nb + 1)
+    (Array.length counts);
+  check_float ~eps:0. "the first bound is lo" 1. bounds.(0);
+  check_float ~eps:1e-9 "the last bound is hi" 100. bounds.(nb - 1);
+  for i = 1 to nb - 1 do
+    check_true "the bounds strictly increase" (bounds.(i - 1) < bounds.(i))
+  done;
+  check_int "values <= lo share the first bucket" 2 counts.(0);
+  check_int "past the last bound overflows" 1 counts.(nb);
+  let i = ref 1 in
+  while bounds.(!i) < 5. do incr i done;
+  check_int "an in-range value lands in the bucket bounding it" 1 counts.(!i);
+  check_int "NaN is not counted" 4 hs.Telemetry.hs_total;
+  check_int "total is the sum of the counts" hs.Telemetry.hs_total
+    (Array.fold_left ( + ) 0 counts);
+  (* Sum and max. *)
+  let h2 = Telemetry.histogram "test.hist.sum" in
   Telemetry.observe_int h2 3;
   Telemetry.observe_int h2 4;
   let hs2 = find_hist "test.hist.sum" in
   check_float ~eps:0. "sum" 7. hs2.Telemetry.hs_sum;
   check_float ~eps:0. "max" 4. hs2.Telemetry.hs_max;
-  check_int "observe_int counts" 2 hs2.Telemetry.hs_counts.(0)
+  check_int "observe_int counts" 2 hs2.Telemetry.hs_total
 
 (* --- Exporters -------------------------------------------------------- *)
 
