@@ -116,7 +116,6 @@ let check_mode grid mode =
 let default_lifetime_tol = 1e-10
 
 let expected_lifetime ?(opts = Solver_opts.default) t =
-  Solver_opts.request_telemetry opts;
   Telemetry.with_span "discretized.expected_lifetime" @@ fun () ->
   let tol = Solver_opts.linear_tol_or ~default:default_lifetime_tol opts in
   let g = t.generator in
@@ -185,7 +184,6 @@ module Session = struct
   }
 
   let create ?(opts = Solver_opts.default) d =
-    Solver_opts.request_telemetry opts;
     let rate = Transient.resolve_rate ~opts d.generator in
     (* Pin the rate so cached windows and future sweeps can never
        disagree on q. *)

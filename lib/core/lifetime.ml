@@ -125,7 +125,6 @@ let cdf_discretized ?opts ~delta d ~times =
       climb (escalation_rungs o)
 
 let cdf ?opts ?initial_fill ~delta ~times model =
-  (match opts with Some o -> Solver_opts.request_telemetry o | None -> ());
   Telemetry.with_span "lifetime.cdf" @@ fun () ->
   let d = Discretized.build ?initial_fill ~delta model in
   cdf_discretized ?opts ~delta d ~times
@@ -156,7 +155,6 @@ let fingerprint_mismatches ~delta ~accuracy ~states ~nnz ~times
 
 let cdf_resumable ?(opts = Solver_opts.default) ?initial_fill ?checkpoint
     ?resume ~delta ~times model =
-  Solver_opts.request_telemetry opts;
   Telemetry.with_span "lifetime.cdf" @@ fun () ->
   let d = Discretized.build ?initial_fill ~delta model in
   let payload_of progress =
@@ -230,7 +228,6 @@ let quantile c p =
    log a front end prints from them) are identical to the sequential
    run's. *)
 let convergence_study ?(opts = Solver_opts.default) ~deltas ~times model =
-  Solver_opts.request_telemetry opts;
   let pool = Pool.get ~jobs:(Solver_opts.resolve_jobs opts) in
   Pool.map_array pool
     (fun delta ->

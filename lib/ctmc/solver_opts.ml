@@ -4,7 +4,6 @@ type t = {
   convergence_tol : float;
   linear_tol : float option;
   jobs : int option;
-  telemetry : bool;
   budget : Batlife_numerics.Budget.t option;
   max_retries : int;
   adaptive_support : bool;
@@ -13,12 +12,11 @@ type t = {
 
 let default =
   { accuracy = 1e-12; unif_rate = None; convergence_tol = 1e-14;
-    linear_tol = None; jobs = None; telemetry = false; budget = None;
-    max_retries = 0; adaptive_support = true; support_threshold = None }
+    linear_tol = None; jobs = None; budget = None; max_retries = 0;
+    adaptive_support = true; support_threshold = None }
 
 let make ?(accuracy = default.accuracy) ?unif_rate
-    ?(convergence_tol = default.convergence_tol) ?linear_tol ?jobs
-    ?(telemetry = default.telemetry) ?budget
+    ?(convergence_tol = default.convergence_tol) ?linear_tol ?jobs ?budget
     ?(max_retries = default.max_retries)
     ?(adaptive_support = default.adaptive_support) ?support_threshold () =
   (match jobs with
@@ -29,7 +27,7 @@ let make ?(accuracy = default.accuracy) ?unif_rate
   | Some tau when not (Float.is_finite tau) || tau < 0. ->
       invalid_arg "Solver_opts.make: need a finite support_threshold >= 0"
   | _ -> ());
-  { accuracy; unif_rate; convergence_tol; linear_tol; jobs; telemetry; budget;
+  { accuracy; unif_rate; convergence_tol; linear_tol; jobs; budget;
     max_retries; adaptive_support; support_threshold }
 
 let linear_tol_or ~default:d t =
@@ -45,16 +43,10 @@ let resolve_budget t =
   | Some b -> b
   | None -> Batlife_numerics.Budget.ambient ()
 
-(* The flag only ever turns the global collector ON: a nested call
-   with [telemetry = false] must not silence the recording an outer
-   caller (the CLI, a bench harness) asked for. *)
-let request_telemetry t =
-  if t.telemetry then Batlife_numerics.Telemetry.enable ()
-
 let pp ppf t =
   Format.fprintf ppf
     "{ accuracy = %g; unif_rate = %s; convergence_tol = %g; linear_tol = %s; \
-     jobs = %s; telemetry = %b; budget = %s; max_retries = %d; \
+     jobs = %s; budget = %s; max_retries = %d; \
      adaptive_support = %b; support_threshold = %s }"
     t.accuracy
     (match t.unif_rate with Some q -> Printf.sprintf "%g" q | None -> "auto")
@@ -63,7 +55,6 @@ let pp ppf t =
     | Some tol -> Printf.sprintf "%g" tol
     | None -> "solver default")
     (match t.jobs with Some j -> string_of_int j | None -> "auto")
-    t.telemetry
     (match t.budget with
     | Some b when Batlife_numerics.Budget.is_unlimited b -> "unlimited"
     | Some _ -> "explicit"

@@ -30,11 +30,6 @@
       [Domain.recommended_domain_count]); [Some 1] forces the
       guaranteed sequential path.  Results are bitwise identical for
       every job count.
-    - [telemetry] (default [false]): when set, solver entry points
-      switch the process-wide [Batlife_numerics.Telemetry] collector
-      on before running, so spans/histograms are recorded for the
-      solve.  Enabling telemetry never changes numerical results
-      (asserted bitwise by the test suite).
     - [budget] (default [None]): the cooperative deadline/cancellation
       token checked between sweeps, vector-matrix products, solver
       iterations, ODE steps and parallel tasks.  [None] resolves at
@@ -69,7 +64,6 @@ type t = {
   convergence_tol : float;
   linear_tol : float option;
   jobs : int option;
-  telemetry : bool;
   budget : Batlife_numerics.Budget.t option;
   max_retries : int;
   adaptive_support : bool;
@@ -78,9 +72,8 @@ type t = {
 
 val default : t
 (** [{ accuracy = 1e-12; unif_rate = None; convergence_tol = 1e-14;
-      linear_tol = None; jobs = None; telemetry = false; budget = None;
-      max_retries = 0; adaptive_support = true;
-      support_threshold = None }]. *)
+      linear_tol = None; jobs = None; budget = None; max_retries = 0;
+      adaptive_support = true; support_threshold = None }]. *)
 
 val make :
   ?accuracy:float ->
@@ -88,7 +81,6 @@ val make :
   ?convergence_tol:float ->
   ?linear_tol:float ->
   ?jobs:int ->
-  ?telemetry:bool ->
   ?budget:Batlife_numerics.Budget.t ->
   ?max_retries:int ->
   ?adaptive_support:bool ->
@@ -111,10 +103,5 @@ val resolve_budget : t -> Batlife_numerics.Budget.t
 (** The effective budget: [budget] when set, else the process-wide
     [Batlife_numerics.Budget.ambient ()] (which is
     [Budget.unlimited] unless the CLI installed one). *)
-
-val request_telemetry : t -> unit
-(** Switch the process-wide telemetry collector on if [telemetry] is
-    set.  Never switches it off — an enclosing caller (CLI [--profile],
-    bench harness) may have enabled it independently. *)
 
 val pp : Format.formatter -> t -> unit

@@ -913,7 +913,6 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
   check_alpha g alpha;
   check_times ~where times;
   check_measures ~where ~n:(Generator.n_states g) measures;
-  Solver_opts.request_telemetry opts;
   Telemetry.incr c_sweeps;
   Telemetry.with_span (String.uncapitalize_ascii where) @@ fun () ->
   let n = Generator.n_states g in

@@ -52,7 +52,6 @@ let run_with_retries ~budget ~max_retries ~backoff_s f x =
 let default_backoff = 1e-3
 
 let map ?(opts = Solver_opts.default) ?(backoff_s = default_backoff) f xs =
-  Solver_opts.request_telemetry opts;
   let pool = Pool.get ~jobs:(Solver_opts.resolve_jobs opts) in
   let budget = Solver_opts.resolve_budget opts in
   let max_retries = opts.Solver_opts.max_retries in
@@ -71,7 +70,6 @@ let map ?(opts = Solver_opts.default) ?(backoff_s = default_backoff) f xs =
 
 let map_partial ?(opts = Solver_opts.default) ?(backoff_s = default_backoff) f
     xs =
-  Solver_opts.request_telemetry opts;
   let pool = Pool.get ~jobs:(Solver_opts.resolve_jobs opts) in
   let budget = Solver_opts.resolve_budget opts in
   let max_retries = opts.Solver_opts.max_retries in

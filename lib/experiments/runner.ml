@@ -79,7 +79,6 @@ let with_experiment_span id f options =
   end
 
 let run_one ?(options = default_options) id =
-  Batlife_ctmc.Solver_opts.request_telemetry options.opts;
   match List.assoc_opt id experiments with
   | Some f -> (
       match with_experiment_span id f options with

@@ -130,7 +130,7 @@ let test_capture_replay_roundtrip () =
 (* --- Deterministic merged order under the experiment fan-out ---------- *)
 
 let merged_par_names jobs =
-  let opts = Solver_opts.make ~jobs ~telemetry:true () in
+  let opts = Solver_opts.make ~jobs () in
   let inputs = List.init 8 Fun.id in
   let results, spans =
     Telemetry.capture (fun () ->
@@ -259,24 +259,21 @@ let check_on_off_identical ~delta model =
   let times = [| 4000.; 8000.; 12000. |] in
   Telemetry.disable ();
   Telemetry.reset ();
-  let solve ~telemetry jobs =
-    Lifetime.cdf ~opts:(Solver_opts.make ~jobs ~telemetry ()) ~delta ~times
-      model
+  let solve jobs =
+    Lifetime.cdf ~opts:(Solver_opts.make ~jobs ()) ~delta ~times model
   in
-  let reference = curve_bits (solve ~telemetry:false 1) in
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.disable ();
-      Telemetry.reset ())
-    (fun () ->
+  let reference = curve_bits (solve 1) in
+  with_telemetry (fun () ->
       List.iter
         (fun jobs ->
-          let bits = curve_bits (solve ~telemetry:true jobs) in
+          let bits = curve_bits (solve jobs) in
           check_true
             (Printf.sprintf "telemetry on at jobs=%d is bitwise identical"
                jobs)
             (bits = reference))
-        [ 1; 2; 4 ])
+        [ 1; 2; 4 ];
+      check_true "the runs were recorded"
+        ((Telemetry.snapshot ()).Telemetry.snap_spans <> []))
 
 let test_on_off_identical_fig7 () =
   check_on_off_identical ~delta:100. (fig7_model ())
