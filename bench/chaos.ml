@@ -208,7 +208,7 @@ let run_plan ~ref_resumable ~ref_escalating plan =
     | Escalating -> (ref_escalating, run_escalating ~dir)
   in
   let outcome, detail =
-    Batlife_robust.Fault.with_sites
+    Batlife_numerics.Fi.with_sites
       [ (plan.site, plan.after, plan.count) ]
       (fun () -> classify ~reference workload)
   in

@@ -3,8 +3,8 @@
    This module sits at the bottom of the dependency stack so the
    numerical kernels (iterative solvers, ODE steppers, uniformisation
    sweeps) can trip a typed diagnostic instead of a bare [failwith];
-   the [Batlife_robust] library re-exports the type together with
-   validation and Result combinators. *)
+   [Batlife_robust.Validate] builds its collect-all model validation
+   on the same type. *)
 
 type error =
   | Invalid_model of { what : string; violations : string list }

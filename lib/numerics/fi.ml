@@ -118,3 +118,8 @@ let registered () =
   let names = Hashtbl.fold (fun n _ acc -> n :: acc) registry [] in
   Mutex.unlock registry_mutex;
   List.sort compare names
+
+let with_sites plans f =
+  reset ();
+  List.iter (fun (name, after, count) -> arm ~after ~count name) plans;
+  Fun.protect ~finally:reset f

@@ -82,3 +82,10 @@ val armed : unit -> (string * int * int) list
 
 val registered : unit -> string list
 (** All site names interned so far, sorted. *)
+
+val with_sites : (string * int * int) list -> (unit -> 'a) -> 'a
+(** [with_sites [(site, after, count); ...] f] resets the registry,
+    arms each named site to fire on consultations
+    [after .. after + count - 1], runs [f], and disarms everything
+    again (also on exception) — the scoped arming idiom the fault
+    tests and the chaos harness are built from. *)

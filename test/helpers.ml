@@ -38,6 +38,44 @@ let total_mass n = Batlife_ctmc.Transient.Sum { lo = 0; hi = n; stride = 1 }
 
 let slow_case name f = Alcotest.test_case name `Slow f
 
+(* Ad-hoc fault injection for tests that hold the object in hand; the
+   named sites of [Batlife_numerics.Fi] cover the production paths. *)
+
+(* Add [amount] to the first stored entry of [row] in place, breaking
+   the zero-row-sum invariant of a generator.  Absorbing rows are empty
+   in CSR form, so they have nothing to perturb. *)
+let corrupt_row_sum g ~row ~amount =
+  let m = Batlife_ctmc.Generator.matrix g in
+  if row < 0 || row >= m.Batlife_numerics.Sparse.rows then
+    invalid_arg "corrupt_row_sum: row out of range";
+  let start = m.Batlife_numerics.Sparse.row_ptr.(row) in
+  if start = m.Batlife_numerics.Sparse.row_ptr.(row + 1) then
+    invalid_arg "corrupt_row_sum: row has no stored entries";
+  let values = m.Batlife_numerics.Sparse.values in
+  Bigarray.Array1.set values start (Bigarray.Array1.get values start +. amount)
+
+(* Overwrite one entry of a matrix's flat [values] stream with NaN. *)
+let inject_nan (v : Batlife_numerics.Sparse.value_array) ~index =
+  if index < 0 || index >= Bigarray.Array1.dim v then
+    invalid_arg "inject_nan: index out of range";
+  Bigarray.Array1.set v index Float.nan
+
+(* [transient ~failures f] behaves like [f] except that its first
+   [failures] calls, counted process-wide and atomically (pool workers
+   share the countdown), raise [Fi.Injected]: a transient environment
+   fault for driving Par's retry-with-backoff. *)
+let transient ~failures f =
+  if failures < 0 then invalid_arg "transient: negative count";
+  let remaining = Atomic.make failures in
+  fun x ->
+    let rec claim () =
+      let n = Atomic.get remaining in
+      n > 0 && (Atomic.compare_and_set remaining n (n - 1) || claim ())
+    in
+    if claim () then
+      raise (Batlife_numerics.Fi.Injected "injected transient fault")
+    else f x
+
 let qcheck ?(count = 200) name arbitrary property =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name arbitrary property)

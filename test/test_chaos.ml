@@ -10,8 +10,6 @@ open Batlife_battery
 open Batlife_workload
 open Batlife_ctmc
 open Batlife_core
-module Fault = Batlife_robust.Fault
-module Fi = Batlife_robust.Fault.Fi
 
 let tmp_path suffix =
   let path = Filename.temp_file "batlife_chaos" suffix in
@@ -61,12 +59,12 @@ let test_fi_inject () =
   Fi.arm "test.beta";
   (match Fi.inject s with
   | () -> Alcotest.fail "armed inject must raise"
-  | exception Fault.Injected name ->
+  | exception Fi.Injected name ->
       check_true "exception carries the site name" (name = "test.beta"));
   Fi.reset ();
   check_true "with_sites disarms on exit"
     (try
-       Fault.with_sites
+       Fi.with_sites
          [ ("test.beta", 0, 1) ]
          (fun () -> raise Exit)
      with Exit -> not (Fi.enabled ()))
@@ -104,7 +102,7 @@ let test_atomic_io_injected_failures () =
   Atomic_io.write_file ~path "old";
   List.iter
     (fun site ->
-      Fault.with_sites
+      Fi.with_sites
         [ (site, 0, 1) ]
         (fun () ->
           check_raises_diag (site ^ " is a structured parse error") is_parse
@@ -118,7 +116,7 @@ let test_atomic_io_injected_failures () =
      path on filesystems without fsync. *)
   List.iter
     (fun site ->
-      Fault.with_sites
+      Fi.with_sites
         [ (site, 0, 1) ]
         (fun () -> Atomic_io.write_file ~path "new");
       check_true (site ^ " still lands the write") (read_file path = "new");
@@ -151,7 +149,7 @@ let test_checkpoint_torn_write_caught () =
   let path = tmp_path ".ckpt" in
   (* A short write that LANDS (truncation the rename discipline cannot
      prevent) must be caught by the integrity footer on load. *)
-  Fault.with_sites
+  Fi.with_sites
     [ ("atomic_io.short_write", 0, 1) ]
     (fun () -> Checkpoint.save ~path (sample_cdf ()));
   check_raises_diag "torn checkpoint detected" is_parse (fun () ->
@@ -163,7 +161,7 @@ let test_checkpoint_injected_corruption () =
   List.iter
     (fun site ->
       Checkpoint.save ~path (sample_cdf ());
-      Fault.with_sites
+      Fi.with_sites
         [ (site, 0, 1) ]
         (fun () ->
           check_raises_diag (site ^ " detected on load") is_parse (fun () ->
@@ -277,7 +275,7 @@ let supervision_at_jobs jobs =
             (* after:0 so the plan bites at every job count — a
                sequential pool runs the whole section as one share and
                consults the site just once per (re)execution. *)
-            Fault.with_sites
+            Fi.with_sites
               [ ("pool.crash", 0, 2) ]
               (fun () ->
                 Pool.run_chunks ~supervise:true pool chunks ~count:4 fill))
@@ -307,7 +305,7 @@ let test_pool_supervision_exhausted () =
     ~finally:(fun () -> Pool.set_section_retries 0)
     (fun () ->
       match
-        Fault.with_sites
+        Fi.with_sites
           [ ("pool.crash", 0, 50) ]
           (fun () ->
             Pool.run_chunks ~supervise:true pool
@@ -319,7 +317,7 @@ let test_pool_supervision_exhausted () =
                 done))
       with
       | () -> Alcotest.fail "persistent crash must propagate"
-      | exception Fault.Injected _ -> ())
+      | exception Fi.Injected _ -> ())
 
 let test_pool_supervision_never_retries_cancelled () =
   let pool = Pool.get ~jobs:1 in
@@ -356,7 +354,7 @@ let test_kernel_injection_recovers_bitwise () =
     (fun site ->
       let curve, events =
         Diag.capture (fun () ->
-            Fault.with_sites
+            Fi.with_sites
               [ (site, 3, 1) ]
               (fun () -> Lifetime.cdf ~delta:100. ~times:small_times model))
       in
@@ -379,7 +377,7 @@ let test_pool_crash_inside_sweep () =
     (fun () ->
       let before = Telemetry.value c_supervised in
       let curve =
-        Fault.with_sites
+        Fi.with_sites
           [ ("pool.crash", 40, 2) ]
           (fun () -> Lifetime.cdf ~delta:100. ~times:small_times model)
       in
@@ -397,7 +395,7 @@ let test_kernel_injection_rung2_close () =
      guaranteed. *)
   let curve, events =
     Diag.capture (fun () ->
-        Fault.with_sites
+        Fi.with_sites
           [ ("transient.step_nan", 3, 2) ]
           (fun () -> Lifetime.cdf ~delta:100. ~times:small_times model))
   in
@@ -414,7 +412,7 @@ let test_kernel_injection_persistent_fails_structured () =
   let model = fig7_model () in
   check_raises_diag "persistent NaN injection is a structured breakdown"
     is_breakdown (fun () ->
-      Fault.with_sites
+      Fi.with_sites
         [ ("transient.step_nan", 0, 1_000_000) ]
         (fun () -> Lifetime.cdf ~delta:100. ~times:small_times model))
 
@@ -439,7 +437,7 @@ let test_sweep_stats_expose_audit () =
 let test_budget_clock_skew () =
   (* Only deadline-carrying budgets consult the site. *)
   let unbounded = Budget.create () in
-  Fault.with_sites
+  Fi.with_sites
     [ ("budget.clock_skew", 0, 10) ]
     (fun () ->
       Budget.check ~what:"t" unbounded;

@@ -10,7 +10,6 @@ open Batlife_battery
 open Batlife_workload
 open Batlife_core
 open Batlife_sim
-module Fault = Batlife_robust.Fault
 module Par = Batlife_experiments.Par
 
 let fig7_model () =
@@ -380,7 +379,7 @@ let test_par_retries () =
       Telemetry.reset_counter c_retries;
       let faulty =
         Par.map ~opts ~backoff_s:1e-6
-          (Fault.transient ~failures:2 solve)
+          (transient ~failures:2 solve)
           deltas
       in
       check_true
@@ -396,11 +395,11 @@ let test_par_retries () =
   check_true "unrecoverable fault propagates"
     (match
        Par.map ~opts ~backoff_s:1e-6
-         (Fault.transient ~failures:5 solve)
+         (transient ~failures:5 solve)
          deltas
      with
     | _ -> false
-    | exception Fault.Injected _ -> true)
+    | exception Fi.Injected _ -> true)
 
 let test_par_never_retries_cancellation () =
   (* A cancelled budget must short-circuit, not burn retries. *)

@@ -9,7 +9,6 @@ open Batlife_ctmc
 open Batlife_workload
 open Batlife_core
 module Validate = Batlife_robust.Validate
-module Fault = Batlife_robust.Fault
 
 let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
@@ -59,7 +58,7 @@ let test_generator_report () =
   let g = three_state () in
   check_int "constructed generator is clean" 0
     (List.length (Validate.generator g));
-  Fault.corrupt_row_sum g ~row:0 ~amount:0.5;
+  corrupt_row_sum g ~row:0 ~amount:0.5;
   let report = Validate.generator g in
   check_true "corrupted row sum detected" (List.length report > 0);
   check_true "report names the row"
@@ -87,7 +86,7 @@ let test_uniformisation_q () =
 
 let test_mass_guard_trips () =
   let g = three_state () in
-  Fault.corrupt_row_sum g ~row:0 ~amount:0.5;
+  corrupt_row_sum g ~row:0 ~amount:0.5;
   check_error "mass drift detected" is_breakdown (fun () ->
       ignore
         (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |]
@@ -107,7 +106,7 @@ let test_nan_in_generator () =
   let g = three_state () in
   (* Index 1 is the off-diagonal (0, 1) entry: exit rates stay finite,
      so the sweep starts and the in-flight guard must catch the NaN. *)
-  Fault.inject_nan (Generator.matrix g).Sparse.values ~index:1;
+  inject_nan (Generator.matrix g).Sparse.values ~index:1;
   check_error "non-finite iterate detected" is_breakdown (fun () ->
       ignore
         (Transient.measure_sweep g ~alpha:alpha3 ~times:[| 50. |]
@@ -115,7 +114,7 @@ let test_nan_in_generator () =
   (* A NaN diagonal is caught before the sweep would hang in the
      Poisson truncation. *)
   let g2 = three_state () in
-  Fault.inject_nan (Generator.matrix g2).Sparse.values ~index:0;
+  inject_nan (Generator.matrix g2).Sparse.values ~index:0;
   check_error "NaN exit rate rejected up front" is_invalid_model (fun () ->
       ignore (Transient.solve g2 ~alpha:alpha3 ~t:1.))
 
