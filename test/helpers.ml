@@ -38,6 +38,18 @@ let total_mass n = Batlife_ctmc.Transient.Sum { lo = 0; hi = n; stride = 1 }
 
 let slow_case name f = Alcotest.test_case name `Slow f
 
+(* The paper's on/off workload (1 Hz, K = 1, 0.96 A) on a 7200 As
+   battery: the single well of fig. 7 (c = 1, k = 0) and the two wells
+   of fig. 2 (c = 0.625, k = 4.5e-5). *)
+let onoff_7200 ~c ~k =
+  Batlife_core.Kibamrm.create
+    ~workload:
+      (Batlife_workload.Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
+    ~battery:(Batlife_battery.Kibam.params ~capacity:7200. ~c ~k)
+
+let fig7_model () = onoff_7200 ~c:1. ~k:0.
+let fig2_model () = onoff_7200 ~c:0.625 ~k:4.5e-5
+
 (* Ad-hoc fault injection for tests that hold the object in hand; the
    named sites of [Batlife_numerics.Fi] cover the production paths. *)
 

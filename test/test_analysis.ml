@@ -3,21 +3,16 @@ open Batlife_workload
 open Batlife_core
 open Helpers
 
-let model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-
 let times () = Array.init 29 (fun i -> 6000. +. (500. *. float_of_int i))
 
 let test_pointwise_distance () =
   let times = times () in
-  let a = Lifetime.cdf ~delta:200. ~times (model ()) in
-  let b = Lifetime.cdf ~delta:100. ~times (model ()) in
+  let a = Lifetime.cdf ~delta:200. ~times (fig7_model ()) in
+  let b = Lifetime.cdf ~delta:100. ~times (fig7_model ()) in
   let d = Analysis.max_pointwise_distance a b in
   check_true "positive" (d > 0.);
   check_float "self distance" 0. (Analysis.max_pointwise_distance a a);
-  let other = Lifetime.cdf ~delta:100. ~times:[| 6000.; 7000. |] (model ()) in
+  let other = Lifetime.cdf ~delta:100. ~times:[| 6000.; 7000. |] (fig7_model ()) in
   check_raises_invalid "grid mismatch" (fun () ->
       ignore (Analysis.max_pointwise_distance a other))
 
@@ -25,7 +20,7 @@ let test_refinement_contracts () =
   let times = times () in
   let curves =
     Lifetime.convergence_study ~deltas:[| 400.; 200.; 100.; 50. |] ~times
-      (model ())
+      (fig7_model ())
   in
   let distances = Analysis.refinement_distances curves in
   check_int "three gaps" 3 (List.length distances);
@@ -42,7 +37,7 @@ let test_refinement_contracts () =
 
 let test_empirical_order_degenerate () =
   let times = times () in
-  let c = Lifetime.cdf ~delta:100. ~times (model ()) in
+  let c = Lifetime.cdf ~delta:100. ~times (fig7_model ()) in
   check_true "needs three curves" (Analysis.empirical_order [ c ] = None)
 
 (* Hand-built curves exercise the degenerate branches without paying
@@ -107,7 +102,7 @@ let test_richardson_clamps () =
 
 let test_richardson_improves () =
   let times = times () in
-  let m = model () in
+  let m = fig7_model () in
   let coarse = Lifetime.cdf ~delta:100. ~times m in
   let fine = Lifetime.cdf ~delta:50. ~times m in
   let reference = Lifetime.cdf ~delta:10. ~times m in

@@ -6,8 +6,6 @@
 
 open Helpers
 open Batlife_numerics
-open Batlife_battery
-open Batlife_workload
 open Batlife_ctmc
 open Batlife_core
 
@@ -220,11 +218,6 @@ let test_checkpoint_content_validation () =
 
 (* ------------------------------------------------------------------ *)
 (* Corrupt-resume: quarantine then cold start, bitwise clean result    *)
-
-let fig7_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
 
 let small_times = [| 4000.; 8000. |]
 

@@ -6,16 +6,6 @@ open Batlife_workload
 open Batlife_core
 open Helpers
 
-let onoff_degenerate () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-
-let onoff_two_well () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:0.625 ~k:4.5e-5)
-
 (* --- Grid ----------------------------------------------------------- *)
 
 let test_grid_shape () =
@@ -79,7 +69,7 @@ let prop_grid_index_dense =
 (* --- Kibamrm rewards ------------------------------------------------- *)
 
 let test_reward_rates () =
-  let m = onoff_two_well () in
+  let m = fig2_model () in
   (* State 0 is the on state drawing 0.96 A. *)
   let r1, r2 = Kibamrm.reward_rates m ~state:0 ~y1:1000. ~y2:2700. in
   (* h2 = 7200 > h1 = 1600: recovery flows. *)
@@ -96,15 +86,15 @@ let test_reward_rates () =
   check_float "r2 no flow" 0. r2
 
 let test_upper_bounds () =
-  let u1, u2 = Kibamrm.upper_bounds (onoff_two_well ()) in
+  let u1, u2 = Kibamrm.upper_bounds (fig2_model ()) in
   check_float "u1" 4500. u1;
   check_float "u2" 2700. u2;
-  check_true "degenerate" (Kibamrm.is_degenerate (onoff_degenerate ()))
+  check_true "degenerate" (Kibamrm.is_degenerate (fig7_model ()))
 
 (* --- Discretized generator ------------------------------------------ *)
 
 let test_discretized_structure () =
-  let d = Discretized.build ~delta:5. (onoff_degenerate ()) in
+  let d = Discretized.build ~delta:5. (fig7_model ()) in
   check_int "paper state count" 2882 (Discretized.n_states d);
   let g = d.Discretized.generator in
   (* Row sums of any generator are zero. *)
@@ -120,14 +110,14 @@ let test_discretized_structure () =
 
 let test_discretized_initial_fill () =
   let d =
-    Discretized.build ~initial_fill:(10., 0.) ~delta:5. (onoff_degenerate ())
+    Discretized.build ~initial_fill:(10., 0.) ~delta:5. (fig7_model ())
   in
   (* Level of 10 is 1: the flat index of (state on1 = 0, j1 = 1). *)
   let idx = Grid.index d.Discretized.grid ~state:0 ~j1:1 ~j2:0 in
   check_float "mass placed low" 1. d.Discretized.alpha.(idx)
 
 let test_empty_probability_monotone_bounds () =
-  let d = Discretized.build ~delta:100. (onoff_two_well ()) in
+  let d = Discretized.build ~delta:100. (fig2_model ()) in
   let times = [| 2000.; 6000.; 10000.; 14000.; 18000. |] in
   let probs, stats = Discretized.empty_probability d ~times in
   check_true "iterations" (stats.Transient.iterations > 0);
@@ -143,7 +133,7 @@ let test_degenerate_matches_erlangization () =
   (* For c = 1 the expanded chain is an Erlangization of the consumed
      charge; the independent Mrm.Erlangization must agree when using
      the same number of stages. *)
-  let model = onoff_degenerate () in
+  let model = fig7_model () in
   let delta = 100. in
   let d = Discretized.build ~delta model in
   let times = [| 8000.; 12000.; 15000.; 18000. |] in
@@ -170,12 +160,12 @@ let test_degenerate_matches_erlangization () =
     times
 
 let test_state_distribution_mass () =
-  let d = Discretized.build ~delta:50. (onoff_two_well ()) in
+  let d = Discretized.build ~delta:50. (fig2_model ()) in
   let pi = Discretized.state_distribution d ~time:5000. in
   check_float ~eps:1e-9 "mass 1" 1. (Vector.sum pi)
 
 let test_charge_marginal () =
-  let d = Discretized.build ~delta:500. (onoff_two_well ()) in
+  let d = Discretized.build ~delta:500. (fig2_model ()) in
   let s = Discretized.Session.create d in
   let marginal =
     Discretized.Session.(get (available_charge_marginal s ~time:3000.))
@@ -189,7 +179,7 @@ let test_mode_marginal_matches_workload_transient () =
   (* The workload evolves independently of the charge, so with
      non-absorbing empty states the mode marginal of the expanded
      chain equals the plain workload transient. *)
-  let model = onoff_two_well () in
+  let model = fig2_model () in
   let d = Discretized.build ~absorb_empty:false ~delta:200. model in
   let time = 4000. in
   let s = Discretized.Session.create d in
@@ -204,7 +194,7 @@ let test_mode_marginal_matches_workload_transient () =
     marginal
 
 let test_expected_available_charge () =
-  let model = onoff_two_well () in
+  let model = fig2_model () in
   let d = Discretized.build ~delta:100. model in
   (* Early on (before any absorption) the expected available charge is
      roughly the initial charge minus the mean consumption; the grid
@@ -224,7 +214,7 @@ let test_expected_available_charge () =
   check_int "one sweep for both times" 1 (Discretized.Session.sweeps s)
 
 let test_joint_probability () =
-  let model = onoff_two_well () in
+  let model = fig2_model () in
   let d = Discretized.build ~delta:200. model in
   let time = 3000. in
   let s = Discretized.Session.create d in
@@ -260,7 +250,7 @@ let test_joint_probability () =
 (* --- Lifetime API ----------------------------------------------------- *)
 
 let test_lifetime_cdf_and_quantiles () =
-  let model = onoff_degenerate () in
+  let model = fig7_model () in
   let times = Array.init 30 (fun i -> 6000. +. (500. *. float_of_int i)) in
   let curve = Lifetime.cdf ~delta:50. ~times model in
   check_int "states" 290 curve.Lifetime.states;
@@ -276,7 +266,7 @@ let test_lifetime_cdf_and_quantiles () =
 let test_lifetime_refinement_sharpens () =
   (* Smaller Delta concentrates the CDF: the spread between q10 and
      q90 must shrink monotonically along the refinement sequence. *)
-  let model = onoff_degenerate () in
+  let model = fig7_model () in
   let times = Array.init 57 (fun i -> 6000. +. (250. *. float_of_int i)) in
   let curves =
     Lifetime.convergence_study ~deltas:[| 200.; 100.; 50. |] ~times model
@@ -342,7 +332,7 @@ let prop_random_models_cross_engine =
 
 let test_lifetime_approaches_simulation_median () =
   (* Cross-validation of the two independent engines. *)
-  let model = onoff_degenerate () in
+  let model = fig7_model () in
   let times = Array.init 57 (fun i -> 6000. +. (250. *. float_of_int i)) in
   let curve = Lifetime.cdf ~delta:25. ~times model in
   let est = Batlife_sim.Montecarlo.lifetime_cdf ~runs:400 model ~times in

@@ -7,8 +7,6 @@
 open Helpers
 open Batlife_numerics
 open Batlife_ctmc
-open Batlife_battery
-open Batlife_workload
 open Batlife_core
 
 (* Work accounting now lives in the Telemetry registry; these counters
@@ -18,20 +16,6 @@ let c_sweeps = Telemetry.counter "transient.sweeps"
 
 let reset_sweeps () = Telemetry.reset_counter c_sweeps
 let sweeps_done () = Telemetry.value c_sweeps
-
-(* The fig-7 configuration: on/off workload, degenerate single-well
-   battery (c = 1, k = 0). *)
-let fig7_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-
-(* The fig-2 battery (two wells, c = 0.625, k = 4.5e-5) under the same
-   on/off workload. *)
-let fig2_battery_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:0.625 ~k:4.5e-5)
 
 (* An independent reference implementation of the per-time measures,
    straight off the full transient distribution (one whole solve per
@@ -135,7 +119,7 @@ let test_session_matches_legacy_fig7 () =
   check_session_matches_legacy ~delta:100. (fig7_model ())
 
 let test_session_matches_legacy_fig2_battery () =
-  check_session_matches_legacy ~delta:200. (fig2_battery_model ())
+  check_session_matches_legacy ~delta:200. (fig2_model ())
 
 (* The headline acceptance property: on a fig-7-sized model, the CDF
    plus all four per-time measures over a shared grid cost exactly ONE
@@ -285,13 +269,13 @@ let check_jobs_identical ~delta model =
 let test_jobs_identical_fig7 () = check_jobs_identical ~delta:100. (fig7_model ())
 
 let test_jobs_identical_fig2_battery () =
-  check_jobs_identical ~delta:200. (fig2_battery_model ())
+  check_jobs_identical ~delta:200. (fig2_model ())
 
 (* Same for a full session batch (CDF plus marginals) — the session
    caches the kernel, so this also covers the cached path. *)
 let test_jobs_identical_session () =
   let batch jobs =
-    let d = Discretized.build ~delta:200. (fig2_battery_model ()) in
+    let d = Discretized.build ~delta:200. (fig2_model ()) in
     let s =
       Discretized.Session.create ~opts:(Solver_opts.make ~jobs ()) d
     in

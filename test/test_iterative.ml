@@ -109,11 +109,7 @@ let test_expected_lifetime_erlang_exact () =
     (Discretized.expected_lifetime d)
 
 let test_expected_lifetime_matches_curve () =
-  let model =
-    Kibamrm.create
-      ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-      ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-  in
+  let model = fig7_model () in
   let d = Discretized.build ~delta:100. model in
   let exact = Discretized.expected_lifetime d in
   (* Integrate the same chain's CDF over a wide grid. *)
@@ -125,11 +121,7 @@ let test_expected_lifetime_matches_curve () =
 let test_expected_lifetime_two_well () =
   (* Two-well: the exact mean must land between the no-recovery and
      full-capacity bounds and near the simulated mean. *)
-  let model =
-    Kibamrm.create
-      ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-      ~battery:(Kibam.params ~capacity:7200. ~c:0.625 ~k:4.5e-5)
-  in
+  let model = fig2_model () in
   let d = Discretized.build ~delta:50. model in
   let exact = Discretized.expected_lifetime d in
   check_true "above available-only bound" (exact > 9000.);
@@ -139,11 +131,7 @@ let test_expected_lifetime_two_well () =
   check_true "near simulated mean" (Float.abs (exact -. 12170.) < 800.)
 
 let test_expected_lifetime_requires_absorbing () =
-  let model =
-    Kibamrm.create
-      ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-      ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-  in
+  let model = fig7_model () in
   let d = Discretized.build ~absorb_empty:false ~delta:200. model in
   check_raises_invalid "live empty states" (fun () ->
       ignore (Discretized.expected_lifetime d))

@@ -15,12 +15,6 @@ let onoff_model ~frequency ~capacity ~c ~k =
     ~workload:(Onoff.model ~frequency ~k:1 ~on_current:0.96 ())
     ~battery:(Kibam.params ~capacity ~c ~k)
 
-let fig7_model () = onoff_model ~frequency:1.0 ~capacity:7200. ~c:1. ~k:0.
-
-(* The fig-2 battery: two wells. *)
-let fig2_model () =
-  onoff_model ~frequency:1.0 ~capacity:7200. ~c:0.625 ~k:4.5e-5
-
 let oracle_opts ?jobs () = Solver_opts.make ?jobs ~adaptive_support:false ()
 
 let bits (c : Lifetime.curve) =

@@ -6,21 +6,9 @@
 open Helpers
 open Batlife_numerics
 open Batlife_ctmc
-open Batlife_battery
-open Batlife_workload
 open Batlife_core
 open Batlife_sim
 module Par = Batlife_experiments.Par
-
-let fig7_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-
-let fig2_battery_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:0.625 ~k:4.5e-5)
 
 let times () = [| 4000.; 8000.; 12000.; 15000.; 17000. |]
 
@@ -263,7 +251,7 @@ let interrupt_and_resume ~delta model =
 let test_cdf_resume_fig7 () = interrupt_and_resume ~delta:100. (fig7_model ())
 
 let test_cdf_resume_fig2_battery () =
-  interrupt_and_resume ~delta:100. (fig2_battery_model ())
+  interrupt_and_resume ~delta:100. (fig2_model ())
 
 let test_cdf_resume_fingerprint () =
   let model = fig7_model () in

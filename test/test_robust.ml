@@ -131,13 +131,7 @@ let test_q_override_rejected () =
   check_error "negative q rejected" is_invalid_model (fun () ->
       ignore (Transient.solve ~opts:(with_q (-1.)) g ~alpha:alpha3 ~t:1.));
   check_error "session create rejects low q" is_invalid_model (fun () ->
-      let d =
-        Discretized.build ~delta:1000.
-          (Kibamrm.create
-             ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-             ~battery:
-               (Batlife_battery.Kibam.params ~capacity:7200. ~c:1. ~k:0.))
-      in
+      let d = Discretized.build ~delta:1000. (fig7_model ()) in
       ignore (Discretized.Session.create ~opts:(with_q 1e-9) d))
 
 let test_sanitize_guard () =

@@ -215,11 +215,7 @@ let test_trajectory_path_events () =
     events
 
 let test_montecarlo_reproducible () =
-  let model =
-    Kibamrm.create
-      ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-      ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-  in
+  let model = fig7_model () in
   let times = [| 14000.; 15000.; 16000. |] in
   let a = Montecarlo.lifetime_cdf ~seed:5L ~runs:50 model ~times in
   let b = Montecarlo.lifetime_cdf ~seed:5L ~runs:50 model ~times in
@@ -233,11 +229,7 @@ let test_montecarlo_mean_matches_deterministic_equivalent () =
   (* Degenerate battery + on/off: consumed charge must reach C, and
      the on-time to do so is C/I = 7500 s, so the mean lifetime is
      about 15000 s. *)
-  let model =
-    Kibamrm.create
-      ~workload:(Onoff.model ~frequency:1. ~k:1 ~on_current:0.96 ())
-      ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-  in
+  let model = fig7_model () in
   let mean, (lo, hi) = Montecarlo.mean_lifetime ~runs:400 model in
   check_true "mean near 15000" (Float.abs (mean -. 15000.) < 100.);
   check_true "CI brackets mean" (lo < mean && mean < hi);

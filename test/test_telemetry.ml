@@ -6,8 +6,6 @@
 open Helpers
 open Batlife_numerics
 open Batlife_ctmc
-open Batlife_battery
-open Batlife_workload
 open Batlife_core
 
 (* Every test leaves the collector as it found it at suite entry:
@@ -242,16 +240,6 @@ let test_exporters_mention_recorded_data () =
 
 (* --- Telemetry never changes results ---------------------------------- *)
 
-let fig7_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:1. ~k:0.)
-
-let fig2_battery_model () =
-  Kibamrm.create
-    ~workload:(Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96 ())
-    ~battery:(Kibam.params ~capacity:7200. ~c:0.625 ~k:4.5e-5)
-
 let curve_bits (c : Lifetime.curve) =
   Array.map Int64.bits_of_float c.Lifetime.probabilities
 
@@ -279,7 +267,7 @@ let test_on_off_identical_fig7 () =
   check_on_off_identical ~delta:100. (fig7_model ())
 
 let test_on_off_identical_fig2_battery () =
-  check_on_off_identical ~delta:200. (fig2_battery_model ())
+  check_on_off_identical ~delta:200. (fig2_model ())
 
 (* Random-generator property: recording spans and histograms must not
    perturb a single bit of a transient solve. *)

@@ -110,14 +110,7 @@ let test_distribution_sweep () =
    distribution_sweep runs every product up to the largest Fox-Glynn
    right edge. *)
 let test_distribution_sweep_never_stops_early () =
-  let d =
-    Batlife_core.Discretized.build ~delta:100.
-      (Batlife_core.Kibamrm.create
-         ~workload:
-           (Batlife_workload.Onoff.model ~frequency:1.0 ~k:1 ~on_current:0.96
-              ())
-         ~battery:(Batlife_battery.Kibam.params ~capacity:7200. ~c:1. ~k:0.))
-  in
+  let d = Batlife_core.Discretized.build ~delta:100. (fig7_model ()) in
   let g = d.Batlife_core.Discretized.generator
   and alpha = d.Batlife_core.Discretized.alpha in
   let times = Array.init 8 (fun i -> 5000. *. float_of_int (i + 1)) in
