@@ -17,7 +17,12 @@
       rate is rejected with [Diag.Error (Invalid_model _)].
     - [convergence_tol] (default [1e-14]): L-infinity stationarity
       threshold at which a sweep stops early and extrapolates the
-      remaining steps as constant.
+      remaining steps as constant.  The stop carries no error bound
+      tied to [accuracy]: on the 1 Hz on/off chains at Δ = 100 it
+      moves the lifetime CDF by up to 7.0e-12 (fig-7) and 3.8e-11
+      (fig-2 two-well) against the non-stopping sweep, above the
+      default accuracy (docs/ALGORITHMS.md §2).
+      [Transient.distribution_sweep] ignores it and never stops early.
     - [linear_tol] (default [None]): residual tolerance of the linear
       (Gauss–Seidel / Jacobi) solves behind unbounded reachability and
       exact expected lifetimes.  [None] keeps each solver's documented
