@@ -27,12 +27,16 @@ type measure =
 
 (* Process-wide work counters.  They exist so tests and benchmarks can
    assert "this batch of queries cost exactly one sweep" without
-   instrumenting call sites.  They are Telemetry counters now — Atomic
+   instrumenting call sites.  They are Telemetry counters — Atomic
    cells, safe to bump from any domain — after the historical int refs
    proved racy under Pool fan-out (Par.map tasks each run sweeps).
    [touched_nnz] and [active_rows] tally the work the adaptive-support
    kernel actually performed; products * nnz minus touched_nnz is the
-   work it skipped. *)
+   work it skipped.  A sweep tallies its products, touched nonzeros
+   and active rows in its own [work] record and adds them to these
+   counters once, when it ends — also when it ends in a budget,
+   cancellation or guard error — so a product does no atomic
+   read-modify-write; between sweeps the counters are exact. *)
 let c_sweeps = Telemetry.counter "transient.sweeps"
 let c_products = Telemetry.counter "transient.products"
 let c_kernel_builds = Telemetry.counter "transient.kernel_builds"
@@ -174,6 +178,14 @@ type kernel = {
           transitions (0 always included); [\[||\]] when there are more
           than {!max_displacements}, selecting the bandwidth-interval
           fallback *)
+  k_dmin : int;
+  k_dmax : int;
+      (** the extreme shifts of a dilation: the first and last of
+          [k_disp], or [-k_down] and [k_up] in the fallback *)
+  k_gap : int;
+      (** the largest gap between consecutive displacements: a
+          segment at least this long dilates as one interval ([0] in
+          the fallback, where every segment does) *)
 }
 
 (* Above this many distinct displacements, per-step dilation by
@@ -216,6 +228,11 @@ let kernel_for g ~q ~jobs =
     end
   in
   let parts = Pool.size pool in
+  let nd = Array.length disp in
+  let gap = ref 0 in
+  for j = 1 to nd - 1 do
+    gap := Int.max !gap (disp.(j) - disp.(j - 1))
+  done;
   {
     k_states = Generator.n_states g;
     k_rate = q;
@@ -231,6 +248,9 @@ let kernel_for g ~q ~jobs =
     k_down = !down;
     k_up = !up;
     k_disp = disp;
+    k_dmin = (if nd > 0 then disp.(0) else - !down);
+    k_dmax = (if nd > 0 then disp.(nd - 1) else !up);
+    k_gap = !gap;
   }
 
 let make_kernel ?(opts = Solver_opts.default) g =
@@ -284,8 +304,9 @@ let check_kernel ~where ~q ~opts g = function
    from the tile count T = ⌈n / tile⌉.  Maximal runs of tiles are
    separated by at least one uncovered tile, so a support never has
    more than ⌈T / 2⌉ segments and T + 1 ints always hold it.  Every
-   product rewrites its segment sets into these buffers, so it
-   allocates a fixed number of words whatever the state count. *)
+   product rewrites its segment sets into these buffers and its floats
+   into unboxed fields, so it allocates nothing whatever the state
+   count. *)
 
 type buf = {
   v : float array;
@@ -295,18 +316,38 @@ type buf = {
   mutable nsegs : int;
 }
 
-(* The segment bookkeeping of one sweep, made with its working vectors.
-   [spare] is a third segment buffer: an operation writes its output
-   segments there and then swaps it with the target [buf]'s [segs].
-   [marks] holds the per-tile coverage deltas of the dilation and is
-   all zero between products.  [chunks] receives the nnz-balanced
-   partition of a product dispatched to the pool.  [touched] and
-   [rows] tally the sweep's work. *)
+(* The float bookkeeping of a sweep.  An all-float record stores its
+   fields unboxed, so updating them per product allocates nothing. *)
+type tally = {
+  mutable skipped : float;  (** mass the pruner has dropped so far *)
+  mutable kept : float;
+      (** mass of the latest product over the tiles the pruner kept *)
+  mutable cap : float;
+      (** the most the pruner may have dropped by the current step *)
+}
+
+(* The working state of one sweep, made with its working vectors.
+   [cur] is the latest iterate and [next] the buffer the coming product
+   writes; the sweep swaps them after each product.  [spare] is a third
+   segment buffer: an operation writes its output segments there and
+   then swaps it with the target [buf]'s [segs].  [marks] holds the
+   per-tile coverage deltas of the dilation and is all zero between
+   products.  [chunks] receives the nnz-balanced partition of a product
+   dispatched to the pool.  [sums] holds the magnitude of each tile the
+   latest product wrote — the ascending sum of its |x_i| from [+0.] —
+   in the order a walk of the segments visits the tiles.  [products],
+   [touched] and [rows] tally the sweep's work. *)
 type work = {
+  pt : Sparse.t;
   tile : int;
   marks : int array;
   mutable spare : int array;
   chunks : int array;
+  sums : float array;
+  mutable cur : buf;
+  mutable next : buf;
+  tally : tally;
+  mutable products : int;
   mutable touched : int;
   mutable rows : int;
 }
@@ -317,24 +358,30 @@ type work = {
    support recovery on resume) agrees on the grid. *)
 let tile_width n = Int.max 8 (Int.min 64 (n / 1024))
 
-(* Buffers for a sweep of [n] states on a kernel of [parts] workers.  A
-   dispatched product has at most [parts] chunks closed by the balance
-   target plus one per segment (see {!partition_segs}). *)
-let make_work ~n ~parts =
-  let tile = tile_width n in
-  let tiles = (n + tile - 1) / tile in
+(* The state of a sweep over kernel [k] with working vectors [a] (the
+   first iterate) and [b].  A dispatched product has at most [k_parts]
+   chunks closed by the balance target plus one per segment (see
+   {!partition_segs}); a segment buffer has room for the one segment of
+   a full support even when n = 0. *)
+let make_work k a b =
+  let tile = tile_width k.k_states in
+  let tiles = (k.k_states + tile - 1) / tile in
+  let segments () = Array.make (Int.max 2 (tiles + 1)) 0 in
+  let buf v = { v; blo = 0; bhi = 0; segs = segments (); nsegs = 0 } in
   {
+    pt = k.k_pt;
     tile;
     marks = Array.make (tiles + 1) 0;
-    (* Room for the one segment of a full support even when n = 0. *)
-    spare = Array.make (Int.max 2 (tiles + 1)) 0;
-    chunks = Array.make ((2 * parts) + tiles + 1) 0;
+    spare = segments ();
+    chunks = Array.make ((2 * k.k_parts) + tiles + 1) 0;
+    sums = Array.make tiles 0.;
+    cur = buf a;
+    next = buf b;
+    tally = { skipped = 0.; kept = 0.; cap = 0. };
+    products = 0;
     touched = 0;
     rows = 0;
   }
-
-let make_buf w v =
-  { v; blo = 0; bhi = 0; segs = Array.make (Array.length w.spare) 0; nsegs = 0 }
 
 let full_support b =
   let n = Array.length b.v in
@@ -401,6 +448,24 @@ let within_tol (x : float array) (y : float array) ~lo ~hi ~tol =
   done;
   !i >= hi && tol >= 0.
 
+(* The magnitude of [\[lo, hi)]: the ascending sum of |v_i| from
+   [+0.], as {!Sparse.matvec_tiles} sums a tile while it writes it. *)
+let[@inline] abs_sum (v : float array) ~lo ~hi =
+  let acc = ref 0. in
+  for i = lo to hi - 1 do
+    acc := !acc +. Float.abs (Array.unsafe_get v i)
+  done;
+  !acc
+
+(* Whether every |v_i| on [\[lo, hi)] is at most [tau], stopping at
+   the first entry that is not. *)
+let within_tau (v : float array) ~lo ~hi ~tau =
+  let i = ref lo in
+  while !i < hi && Float.abs (Array.unsafe_get v !i) <= tau do
+    incr i
+  done;
+  !i >= hi
+
 (* The tightest [(lo, hi)] with every entry outside exactly [0.];
    [(0, 0)] for an all-zero vector.  NaN counts as nonzero. *)
 let nonzero_extent (v : float array) =
@@ -459,35 +524,51 @@ let mark_tiles (marks : int array) ~n ~tile lo hi =
 
    Each shifted segment marks the tiles it covers; one scan of the
    marks over the shifted hull then reads back the maximal runs of
-   covered tiles, which is the aligned union, merged — in
-   O(|D| x segments + hull tiles), with no sort.  The cover goes to
-   [w.spare]; returns its segment count. *)
+   covered tiles, which is the aligned union, merged.  The copies of a
+   segment [\[lo, hi)] by consecutive shifts d < d' with
+   d' - d <= hi - lo overlap or touch (lo + d' <= hi + d), so a run of
+   shifts whose gaps are all at most the segment's length chains into
+   one interval, [\[lo + first, hi + last)], and since clipping and
+   tile alignment both distribute over a union, the tiles it marks
+   are the tiles the copies would mark.  A segment marks once per such
+   run: once, [\[lo + dmin, hi + dmax)], when it is at least as long
+   as D's largest gap [k_gap], and once per shift only when it is
+   shorter than every gap.  In the bandwidth fallback every segment
+   marks its one dilated interval.  A full support dilates to itself,
+   as 0 is in D.  The cost is O(segments x runs + hull tiles), with no
+   sort.  The cover goes to [w.spare]; returns its segment count. *)
 let dilate_segs k w (src : buf) =
-  let m = src.nsegs in
+  let m = src.nsegs and n = k.k_states and segs = src.segs in
+  let out = w.spare in
   if m = 0 then 0
+  else if m = 1 && segs.(0) = 0 && segs.(1) = n then begin
+    out.(0) <- 0;
+    out.(1) <- n;
+    1
+  end
   else begin
-    let n = k.k_states and tile = w.tile and marks = w.marks in
-    let segs = src.segs and disp = k.k_disp in
+    let tile = w.tile and marks = w.marks and disp = k.k_disp in
+    let dmin = k.k_dmin and dmax = k.k_dmax in
     let nd = Array.length disp in
-    if nd > 0 then
-      for j = 0 to nd - 1 do
-        let d = disp.(j) in
-        for i = 0 to m - 1 do
-          mark_tiles marks ~n ~tile (segs.(2 * i) + d) (segs.((2 * i) + 1) + d)
+    for i = 0 to m - 1 do
+      let lo = segs.(2 * i) and hi = segs.((2 * i) + 1) in
+      if hi - lo >= k.k_gap then
+        mark_tiles marks ~n ~tile (lo + dmin) (hi + dmax)
+      else begin
+        let j = ref 0 in
+        while !j < nd do
+          let first = disp.(!j) in
+          while !j + 1 < nd && disp.(!j + 1) - disp.(!j) <= hi - lo do
+            incr j
+          done;
+          mark_tiles marks ~n ~tile (lo + first) (hi + disp.(!j));
+          incr j
         done
-      done
-    else
-      for i = 0 to m - 1 do
-        mark_tiles marks ~n ~tile
-          (segs.(2 * i) - k.k_down)
-          (segs.((2 * i) + 1) + k.k_up)
-      done;
+      end
+    done;
     (* D holds 0, so its extremes bracket every shift. *)
-    let dmin = if nd > 0 then disp.(0) else -k.k_down in
-    let dmax = if nd > 0 then disp.(nd - 1) else k.k_up in
     let first = Int.max 0 (segs.(0) + dmin) / tile in
     let last = (Int.min n (segs.((2 * m) - 1) + dmax) + tile - 1) / tile in
-    let out = w.spare in
     let count = ref 0 and depth = ref 0 and start = ref 0 in
     for t = first to last do
       let d = !depth + marks.(t) in
@@ -576,47 +657,74 @@ let partition_segs pt w (b : buf) ~parts =
    118k two domains win (258 vs 138 us). *)
 let dispatch_nnz = 32_768
 
-let gather_segments k ~(src : buf) ~(dst : buf) =
-  let segs = dst.segs in
-  for s = 0 to dst.nsegs - 1 do
-    Sparse.matvec_rows k.k_pt src.v ~dst:dst.v ~lo:segs.(2 * s)
-      ~hi:segs.((2 * s) + 1)
+(* The tile magnitudes of [b], in visit order, into [w.sums]: what the
+   inline gather leaves there, for a product dispatched to the pool. *)
+let tile_sums w (b : buf) =
+  let segs = b.segs and tile = w.tile in
+  let j = ref 0 in
+  for s = 0 to b.nsegs - 1 do
+    let shi = segs.((2 * s) + 1) in
+    let t = ref segs.(2 * s) in
+    while !t < shi do
+      let hi = if shi - !t > tile then !t + tile else shi in
+      w.sums.(!j) <- abs_sum b.v ~lo:!t ~hi;
+      incr j;
+      t := hi
+    done
   done
 
-(* One uniformised step: v' = v P, as a gather over the transposed
-   matrix restricted to the active segments.  Every active dst entry
-   is (over)written by exactly one writer in the fixed in-row order,
-   so the result is bitwise independent of how the rows are split.  A
-   product runs on the calling domain — each active segment gathered
-   directly, with no partition — when its pool runs sections inline
-   anyway (sequential, or nested in another section, as every product
-   of the query service is) or when it has fewer than {!dispatch_nnz}
-   active nonzeros; only larger products are partitioned into
-   nnz-balanced chunks and dispatched.  Both paths are supervised and
-   consult [pool.crash] once per share.  Adds the product's touched
-   nonzeros and active rows to [w]'s tallies. *)
-let step_window k w ~src ~dst ~adaptive =
-  Telemetry.incr c_products;
+(* Share [share] of an inline product: share 0 gathers every active
+   segment of [w.next] from [w.cur], leaving the tile magnitudes in
+   [w.sums]; the other shares have nothing to do.  A closed function
+   of [w], so a section allocates nothing. *)
+let gather_share w share =
+  if share = 0 then begin
+    let dst = w.next in
+    let segs = dst.segs in
+    let at = ref 0 in
+    for s = 0 to dst.nsegs - 1 do
+      at :=
+        Sparse.matvec_tiles w.pt w.cur.v ~dst:dst.v ~sums:w.sums ~at:!at
+          ~tile:w.tile ~lo:segs.(2 * s)
+          ~hi:segs.((2 * s) + 1)
+    done
+  end
+
+(* One uniformised step: [w.next] := [w.cur] P, as a gather over the
+   transposed matrix restricted to the active segments.  Every active
+   entry is (over)written by exactly one writer in the fixed in-row
+   order, so the result is bitwise independent of how the rows are
+   split.  A product runs on the calling domain — each active segment
+   gathered directly, with no partition, its tile magnitudes summed in
+   the same pass — when its pool runs sections inline anyway
+   (sequential, or nested in another section, as every product of the
+   query service is) or when it has fewer than {!dispatch_nnz} active
+   nonzeros; only larger products are partitioned into nnz-balanced
+   chunks and dispatched, and their tile magnitudes summed after.  Both
+   paths are supervised and consult [pool.crash] once per share.  Adds
+   the product, its touched nonzeros and its active rows to [w]'s
+   tallies; the sweep publishes them when it ends. *)
+let step_window k w ~adaptive =
+  let src = w.cur and dst = w.next in
+  w.products <- w.products + 1;
   (* A full-support sweep keeps [\[0, n)] on both vectors throughout. *)
   if adaptive then begin
     let ncover = dilate_segs k w src in
     zero_stale dst ~cover:w.spare ~ncover;
     install w dst ncover
   end;
-  let ncover = dst.nsegs in
   let touched = ref 0 and rows = ref 0 in
-  for s = 0 to ncover - 1 do
+  for s = 0 to dst.nsegs - 1 do
     let lo = dst.segs.(2 * s) and hi = dst.segs.((2 * s) + 1) in
     touched := !touched + Sparse.range_nnz k.k_pt ~lo ~hi;
     rows := !rows + (hi - lo)
   done;
-  if ncover > 0 then begin
+  if dst.nsegs > 0 then begin
     let pool = k.k_pool in
     if !touched < dispatch_nnz || Pool.runs_inline pool then
       (* Supervised: a crashed share re-runs in place; the gather
-         overwrites the same rows with the same values. *)
-      Pool.run_inline ~supervise:true pool (fun share ->
-          if share = 0 then gather_segments k ~src ~dst)
+         overwrites the same rows and sums with the same values. *)
+      Pool.run_inline ~supervise:true pool gather_share w
     else begin
       let chunks, count =
         if adaptive then
@@ -624,57 +732,88 @@ let step_window k w ~src ~dst ~adaptive =
         else (k.k_partition, Array.length k.k_partition / 2)
       in
       Pool.run_chunks ~supervise:true pool chunks ~count (fun ~lo ~hi ->
-          Sparse.matvec_rows k.k_pt src.v ~dst:dst.v ~lo ~hi)
+          Sparse.matvec_rows k.k_pt src.v ~dst:dst.v ~lo ~hi);
+      tile_sums w dst
     end
   end;
   w.touched <- w.touched + !touched;
   w.rows <- w.rows + !rows;
-  Telemetry.add c_touched_nnz !touched;
-  Telemetry.add c_active_rows !rows;
   if Fi.enabled () then begin
     let at = if dst.blo < dst.bhi then dst.blo else 0 in
-    if Fi.fires fi_step_nan then dst.v.(at) <- Float.nan;
-    if Fi.fires fi_step_overflow then dst.v.(at) <- 1e30
+    let nan = Fi.fires fi_step_nan in
+    if nan then dst.v.(at) <- Float.nan;
+    let overflow = Fi.fires fi_step_overflow in
+    if overflow then dst.v.(at) <- 1e30;
+    (* The entry is in the first tile visited: its magnitude moved. *)
+    if (nan || overflow) && dst.blo < dst.bhi then
+      w.sums.(0) <-
+        abs_sum dst.v ~lo:at ~hi:(Int.min dst.segs.(1) (at + w.tile))
   end
 
-(* Tile-granular pruning: every active tile whose max magnitude is at
-   most [tau] AND whose mass fits the remaining skipped-mass cap is
-   dropped — zeroed, its mass added to [skipped] — and the surviving
-   tiles become the new support, written straight into [w.spare] and
-   merged as they come.  All-zero tiles always qualify at zero cost,
-   so the support never retains a tile without a nonzero (the property
-   resume relies on).  With [tau = 0.] only exact zeros are consumed
-   and [skipped] stays [+0.], which is what makes the threshold-0
-   adaptive sweep bitwise identical to the full-support kernel.  NaN
-   never satisfies the comparisons, so an injected NaN survives for
-   the mass guard to catch. *)
-let prune_segments w b ~tau ~cap ~skipped =
+(* Tile-granular pruning: every active tile whose entries are all at
+   most [tau] in magnitude AND whose mass fits the remaining
+   skipped-mass cap [w.tally.cap] is dropped — zeroed, its mass added
+   to [w.tally.skipped] — and the surviving tiles become the new
+   support, written straight into [w.spare] and merged as they come;
+   their masses add up to [w.tally.kept], the mass guard's reading.
+   The walk steps tile boundaries by [+ tile], since segments start on
+   the grid.
+
+   The decision reads the tile's magnitude [s] from [w.sums] and
+   rescans the tile for an entry above [tau] only when
+   [s <= 2 len tau], [len] its width — the all-zero tiles and those
+   near the threshold.  That is the test [max |x_i| <= tau] exactly:
+   if every |x_i| <= tau, the rounded ascending sum of [len <= 64] of
+   them is at most [len tau (1 + 2^-53)^len < 2 len tau], so a larger
+   [s] proves an entry above [tau]; a NaN entry makes [s] NaN, which
+   fails both this test and the cap test (and failed the cap test of
+   the max scan this replaces); a negative or NaN [tau] keeps every
+   tile, as [max <= tau] did.  [s] is the same ascending sum the cap
+   test always read.
+
+   All-zero tiles always qualify at zero cost, so the support never
+   retains a tile without a nonzero (the property resume relies on).
+   With [tau = 0.] only exact zeros are consumed and the skipped tally
+   stays [+0.], which is what makes the threshold-0 adaptive sweep
+   bitwise identical to the full-support kernel.  NaN never qualifies,
+   so an injected NaN survives for the mass guard to catch. *)
+let[@inline] droppable (v : float array) ~lo ~hi ~sum ~tau ~skipped ~cap =
+  sum <= 2. *. float_of_int (hi - lo) *. tau
+  && skipped +. sum <= cap
+  && within_tau v ~lo ~hi ~tau
+
+let prune_decision (v : float array) ~tau ~skipped ~cap =
+  let n = Array.length v in
+  droppable v ~lo:0 ~hi:n ~sum:(abs_sum v ~lo:0 ~hi:n) ~tau ~skipped ~cap
+
+let prune_segments w (b : buf) ~tau =
   let v = b.v and tile = w.tile and segs = b.segs and out = w.spare in
-  let sk = ref !skipped and dropped = ref false in
-  let count = ref 0 in
+  let sums = w.sums and a = w.tally in
+  let cap = a.cap in
+  let sk = ref a.skipped and kept = ref 0. in
+  let count = ref 0 and j = ref 0 in
   for s = 0 to b.nsegs - 1 do
     let shi = segs.((2 * s) + 1) in
     let t = ref segs.(2 * s) in
     while !t < shi do
-      let hi = Int.min shi (((!t / tile) + 1) * tile) in
-      let mx = ref 0. and sm = ref 0. in
-      for i = !t to hi - 1 do
-        let ax = Float.abs (Array.unsafe_get v i) in
-        if not (ax <= !mx) then mx := ax;
-        sm := !sm +. ax
-      done;
-      if !mx <= tau && !sk +. !sm <= cap then begin
-        if !sm > 0. then begin
-          sk := !sk +. !sm;
-          dropped := true;
+      let hi = if shi - !t > tile then !t + tile else shi in
+      let sum = sums.(!j) in
+      if droppable v ~lo:!t ~hi ~sum ~tau ~skipped:!sk ~cap then begin
+        if sum > 0. then begin
+          sk := !sk +. sum;
           Array.fill v !t (hi - !t) 0.
         end
       end
-      else count := push_seg out !count !t hi;
+      else begin
+        kept := !kept +. sum;
+        count := push_seg out !count !t hi
+      end;
+      incr j;
       t := hi
     done
   done;
-  if !dropped then skipped := !sk;
+  a.skipped <- !sk;
+  a.kept <- !kept;
   install w b !count
 
 (* The error-budget split.  Fox–Glynn truncation already spends up to
@@ -713,26 +852,33 @@ let resolve_pruning ~opts ~n_max =
   end
 
 (* In-flight guardrail for the uniformised power sweep: the iterate is
-   a probability vector, so its mass — the window sum plus whatever
-   the pruner deliberately skipped — must stay at the initial mass
-   (the expanded generators conserve it exactly up to roundoff) and
-   every entry must stay finite.  A violation beyond [mass_tolerance]
-   means the generator rows do not sum to zero or the arithmetic broke
-   down; propagating further would only weight garbage by Poisson
-   factors. *)
+   a probability vector, so its mass — the magnitudes of the tiles the
+   product kept plus whatever the pruner deliberately skipped — must
+   stay at the initial mass (the expanded generators conserve it
+   exactly up to roundoff) and every entry must stay finite.  A
+   violation beyond [mass_tolerance] means the generator rows do not
+   sum to zero or the arithmetic broke down; propagating further would
+   only weight garbage by Poisson factors.  The tile magnitudes come
+   from the product's own pass, so the guard reads no entry again; a
+   NaN or infinite entry makes its tile's magnitude, and so the mass,
+   non-finite. *)
 let mass_tolerance = 1e-6
 
-let guard_iterate ~where ~mass0 ~step ~skipped b =
-  let mass = sum_range b.v ~lo:b.blo ~hi:b.bhi +. skipped in
+let mass_breakdown ~where ~mass0 ~step mass =
   if not (Float.is_finite mass) then
     Diag.breakdown ~where
-      "non-finite probability entries at uniformisation step %d" step;
-  if Float.abs (mass -. mass0) > mass_tolerance *. Float.max 1. mass0 then
+      "non-finite probability entries at uniformisation step %d" step
+  else
     Diag.breakdown ~where
       "probability mass drifted from %g to %g at uniformisation step %d \
        (tolerance %g): the generator's row sums are not zero"
-      mass0 mass step mass_tolerance;
-  ()
+      mass0 mass step mass_tolerance
+
+(* [tolerance] is [mass_tolerance *. Float.max 1. mass0]. *)
+let guard_iterate ~where ~mass0 ~tolerance ~step (a : tally) =
+  let mass = a.kept +. a.skipped in
+  if (not (Float.is_finite mass)) || Float.abs (mass -. mass0) > tolerance
+  then mass_breakdown ~where ~mass0 ~step (a.kept +. a.skipped)
 
 (* A-posteriori self-verification of a completed sweep.  The in-flight
    guards catch faults the step they happen; this pass re-derives the
@@ -777,14 +923,14 @@ let verify_sweep ~where ~accuracy ~mass0 ~windows ~skipped ~budget_skip b =
       !fg_defect accuracy;
   (mass_residual, !fg_defect)
 
-(* Working vectors of a sweep: reuse caller-provided buffers (the
+(* Working state of a sweep: reuse caller-provided buffers (the
    session fast path — no per-call allocation) or allocate a fresh
    pair, plus the segment buffers of {!work}.  The first buffer is
    seeded with a copy of alpha either way — never alpha itself, which
    the sweep would overwrite in place; an adaptive sweep starts from
    the tile-aligned support of alpha, a full-support one from
    [\[0, n)]. *)
-let sweep_buffers ~where ~n ~parts ~alpha ~adaptive buffers =
+let sweep_work ~where ~n ~alpha ~adaptive kernel buffers =
   let a, b =
     match buffers with
     | None -> (Array.copy alpha, Array.make n 0.)
@@ -795,14 +941,28 @@ let sweep_buffers ~where ~n ~parts ~alpha ~adaptive buffers =
         Array.fill b 0 n 0.;
         (a, b)
   in
-  let w = make_work ~n ~parts in
-  let a = make_buf w a and b = make_buf w b in
-  if adaptive then seed_support w a
+  let w = make_work kernel a b in
+  if adaptive then seed_support w w.cur
   else begin
-    full_support a;
-    full_support b
+    full_support w.cur;
+    full_support w.next
   end;
-  (w, a, b)
+  w
+
+(* The mass of a full-support product, which keeps every tile. *)
+let keep_all w =
+  let kept = ref 0. in
+  for j = 0 to Array.length w.sums - 1 do
+    kept := !kept +. w.sums.(j)
+  done;
+  w.tally.kept <- !kept
+
+(* Add a sweep's work to the process-wide counters, once, however the
+   sweep ends. *)
+let publish w =
+  Telemetry.add c_products w.products;
+  Telemetry.add c_touched_nnz w.touched;
+  Telemetry.add c_active_rows w.rows
 
 let check_windows ~where ~times = function
   | None -> None
@@ -937,14 +1097,12 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
   let tau, budget_skip = resolve_pruning ~opts ~n_max in
   let tol = opts.Solver_opts.convergence_tol in
   let mass0 = Vector.sum alpha in
+  let tolerance = mass_tolerance *. Float.max 1. mass0 in
   let k = Array.length measures in
   (* vals.(j).(m) is measure j evaluated on the step-m iterate. *)
   let vals = Array.make_matrix k (n_max + 1) 0. in
-  let w, v, v' =
-    sweep_buffers ~where ~n ~parts:kernel.k_parts ~alpha ~adaptive buffers
-  in
-  let current = ref v and scratch = ref v' in
-  let skipped = ref 0. in
+  let w = sweep_work ~where ~n ~alpha ~adaptive kernel buffers in
+  Fun.protect ~finally:(fun () -> publish w) @@ fun () ->
   let read_out m b =
     Array.iteri
       (fun i w ->
@@ -966,7 +1124,7 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
   let start =
     match resume with
     | None ->
-        record 0 !current;
+        record 0 w.cur;
         1
     | Some r ->
         if Array.length r.sp_vector <> n then
@@ -985,12 +1143,12 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
               invalid_arg (where ^ ": resume values have wrong length");
             Array.blit row 0 vals.(j) 0 (r.sp_step + 1))
           r.sp_values;
-        Array.blit r.sp_vector 0 (!current).v 0 n;
+        Array.blit r.sp_vector 0 w.cur.v 0 n;
         (* The pruner zeroes everything it drops and never leaves an
            all-zero tile active, so the stored vector's occupied tiles
            ARE the live support of the interrupted sweep. *)
-        if adaptive then seed_support w !current;
-        skipped := r.sp_skipped;
+        if adaptive then seed_support w w.cur;
+        w.tally.skipped <- r.sp_skipped;
         if r.sp_converged then converged_at := Some r.sp_step;
         r.sp_step + 1
   in
@@ -998,9 +1156,9 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
     {
       sp_step = s;
       sp_converged = converged;
-      sp_vector = Array.copy (!current).v;
+      sp_vector = Array.copy w.cur.v;
       sp_values = Array.map (fun row -> Array.sub row 0 (s + 1)) vals;
-      sp_skipped = !skipped;
+      sp_skipped = w.tally.skipped;
     }
   in
   let m = ref start in
@@ -1013,7 +1171,7 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
         | Some f -> f (snapshot_at ~step:(!m - 1) ~converged:false ())
         | None -> ());
         Diag.fail e);
-    step_window kernel w ~src:!current ~dst:!scratch ~adaptive;
+    step_window kernel w ~adaptive;
     if adaptive then begin
       (* Prorate the cap: after step m the cumulative skipped mass may
          use at most the fraction m / n_max of the total budget.  A
@@ -1023,19 +1181,18 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
          — costing MORE total work than a conservative threshold.  The
          proration depends only on m and n_max, so a resumed sweep
          reproduces it bitwise. *)
-      let cap =
-        budget_skip *. float_of_int !m /. float_of_int (max 1 n_max)
-      in
-      prune_segments w !scratch ~tau ~cap ~skipped
-    end;
-    let ulo = Int.min (!current).blo (!scratch).blo
-    and uhi = Int.max (!current).bhi (!scratch).bhi in
-    let still = within_tol (!current).v (!scratch).v ~lo:ulo ~hi:uhi ~tol in
-    let t = !current in
-    current := !scratch;
-    scratch := t;
-    guard_iterate ~where ~mass0 ~step:!m ~skipped:!skipped !current;
-    record !m !current;
+      w.tally.cap <-
+        budget_skip *. float_of_int !m /. float_of_int (max 1 n_max);
+      prune_segments w w.next ~tau
+    end
+    else keep_all w;
+    let cur = w.cur and next = w.next in
+    let ulo = Int.min cur.blo next.blo and uhi = Int.max cur.bhi next.bhi in
+    let still = within_tol cur.v next.v ~lo:ulo ~hi:uhi ~tol in
+    w.cur <- next;
+    w.next <- cur;
+    guard_iterate ~where ~mass0 ~tolerance ~step:!m w.tally;
+    record !m next;
     if still then converged_at := Some !m;
     (match on_step with
     | Some f ->
@@ -1056,14 +1213,14 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
       done;
       if Array.length outs > 0 then
         for i = at + 1 to n_max do
-          read_out i !current
+          read_out i w.cur
         done
   | None -> ());
   let iterations = match !converged_at with Some at -> at | None -> n_max in
   Telemetry.observe_int h_iterations iterations;
   let mass_residual, fg_defect =
     verify_sweep ~where ~accuracy:opts.Solver_opts.accuracy ~mass0 ~windows
-      ~skipped:!skipped ~budget_skip !current
+      ~skipped:w.tally.skipped ~budget_skip w.cur
   in
   ( vals,
     windows,
@@ -1075,9 +1232,9 @@ let series_sweep ?(where = "Transient.multi_measure_sweep")
       fg_defect;
       touched_nnz = w.touched;
       active_rows = w.rows;
-      support_lo = (!current).blo;
-      support_hi = (!current).bhi;
-      skipped_mass = !skipped;
+      support_lo = w.cur.blo;
+      support_hi = w.cur.bhi;
+      skipped_mass = w.tally.skipped;
     } )
 
 let multi_measure_sweep ?opts ?windows ?buffers ?kernel ?progress g ~alpha

@@ -48,9 +48,11 @@
     inside it.  Active tiles whose entries are all at most a threshold
     tied to the Fox–Glynn accuracy budget are {e pruned} (zeroed;
     their mass is tallied and audited), letting the support shrink
-    behind the front.  The segment sets live in flat int buffers sized
-    once per sweep from the tile count, so a product allocates a fixed
-    number of words whatever the state count.  The pruned mass is
+    behind the front.  The product sums each tile's magnitudes while it
+    writes it, and the pruner and the mass guard read those sums
+    rather than the vector.  The segment sets live in flat int buffers
+    sized once per sweep from the tile count, so a product allocates
+    nothing whatever the state count.  The pruned mass is
     hard-capped at [accuracy / 2] (see
     [Solver_opts.support_threshold] for the split), so an adaptive
     result deviates from the exact full-support kernel by at most the
@@ -185,7 +187,12 @@ type measure =
     exact under [Pool] fan-out.  The last two accumulate the same
     per-product work tallies {!stats.touched_nnz} /
     {!stats.active_rows} report per sweep; benchmarks derive the
-    adaptive kernel's work-reduction ratio from them.  Read them with
+    adaptive kernel's work-reduction ratio from them.  A sweep tallies
+    its products, touched nonzeros and active rows itself and adds
+    them to the three counters once, when it ends — also when it ends
+    in a budget, cancellation or guard error — so the counters are
+    exact between sweeps and a product does no atomic
+    read-modify-write.  Read them with
     [Telemetry.(value (counter "transient.sweeps"))]. *)
 
 val resolve_rate : ?opts:Solver_opts.t -> Generator.t -> float
@@ -226,6 +233,17 @@ val tile_width : int -> int
     of an [n]-state sweep is aligned to: every support segment starts
     on a multiple of it and ends on one or at [n], and the pruner never
     keeps a tile that holds no nonzero. *)
+
+val prune_decision :
+  float array -> tau:float -> skipped:float -> cap:float -> bool
+(** [prune_decision tile ~tau ~skipped ~cap] is whether the adaptive
+    pruner drops a tile holding the entries [tile] (at most 64, the
+    widest tile) when it has already skipped [skipped] of the cap
+    [cap], decided as a sweep decides it: from the tile's magnitude
+    [s], the ascending sum of its [|x_i|] from [+0.], rescanning the
+    entries only when [s <= 2 len tau].  That is exactly
+    [max |x_i| <= tau && skipped +. s <= cap], false whenever an entry
+    is NaN.  Exposed for tests. *)
 
 val solve :
   ?opts:Solver_opts.t ->

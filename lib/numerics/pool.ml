@@ -71,27 +71,35 @@ let retryable = function
   | Diag.Error (Diag.Cancelled _ | Diag.Budget_exhausted _) -> false
   | _ -> true
 
-(* One share of a supervised section: a crashed share is re-executed in
-   place, on the same domain, up to the retry budget.  Safe because
-   supervised callers (the gather-based kernels) write only locations
-   owned by their share, idempotently — re-running the share overwrites
-   the same outputs with the same values, so a recovered section is
-   bitwise identical to an undisturbed one.  [retried] counts failed
-   attempts for the caller's post-section diagnostic.  A loop rather
-   than a recursive closure, so an undisturbed share allocates
-   nothing. *)
+(* One attempt at a share of a supervised section: consult
+   [pool.crash], then run the share.  [true] when it completed, [false]
+   when it crashed and may run again (attempt [attempt] of the retry
+   budget [retries]); anything else propagates.  Re-running a share in
+   place, on the same domain, is safe because supervised callers (the
+   gather-based kernels) write only locations owned by their share,
+   idempotently — re-running the share overwrites the same outputs with
+   the same values, so a recovered section is bitwise identical to an
+   undisturbed one.  The share takes its data as an argument, so an
+   undisturbed attempt allocates nothing. *)
+let attempt_share f x w ~attempt ~retries =
+  match
+    Fi.inject fi_crash;
+    f x w
+  with
+  | () -> true
+  | exception e when attempt < retries && retryable e -> false
+
+let apply f w = f w
+
+(* A share of a supervised dispatched section; [retried] counts the
+   failed attempts, across domains, for the caller's post-section
+   diagnostic. *)
 let supervised_share ~retried f w =
   let retries = Atomic.get section_retries_cell in
-  let attempt = ref 0 and finished = ref false in
-  while not !finished do
-    match
-      Fi.inject fi_crash;
-      f w
-    with
-    | () -> finished := true
-    | exception e when !attempt < retries && retryable e ->
-        Atomic.incr retried;
-        incr attempt
+  let attempt = ref 0 in
+  while not (attempt_share apply f w ~attempt:!attempt ~retries) do
+    Atomic.incr retried;
+    incr attempt
   done
 
 (* Fork-join barrier wall time, caller's view: publish -> all workers
@@ -164,8 +172,7 @@ let create ~jobs =
    lands in the caller's Diag capture (if any) exactly once — the event
    stream is identical for every job count even though which share
    crashed is scheduling-dependent. *)
-let note_retries retried =
-  let r = Atomic.get retried in
+let note_retries r =
   if r > 0 then begin
     Telemetry.add c_supervised r;
     Diag.record ~fallback:true ~origin:"Pool"
@@ -180,31 +187,38 @@ let runs_inline = function
   | Sequential -> true
   | Domains _ -> !(Domain.DLS.get in_section)
 
-let run_inline ?(supervise = false) t f =
+(* The shares run one after another on this domain, so the failed
+   attempts are a plain count, and an undisturbed section allocates
+   nothing and does no atomic read-modify-write. *)
+let run_inline ?(supervise = false) t f x =
   let shares = size t in
-  (match t with
-  | Domains _ when !(Domain.DLS.get in_section) ->
-      (* Nested section: the pool is busy with the enclosing one. *)
-      Telemetry.incr c_nested_inline
-  | Sequential | Domains _ -> ());
   if supervise then begin
-    let retried = Atomic.make 0 in
+    let retries = Atomic.get section_retries_cell in
+    let retried = ref 0 in
     for w = 0 to shares - 1 do
-      supervised_share ~retried f w
+      let attempt = ref 0 in
+      while not (attempt_share f x w ~attempt:!attempt ~retries) do
+        incr attempt
+      done;
+      retried := !retried + !attempt
     done;
-    note_retries retried
+    note_retries !retried
   end
   else
     for w = 0 to shares - 1 do
-      f w
+      f x w
     done
 
 let run ?(supervise = false) t f =
   match t with
-  | Sequential -> run_inline ~supervise t f
+  | Sequential -> run_inline ~supervise t apply f
   | Domains d ->
       let flag = Domain.DLS.get in_section in
-      if !flag then run_inline ~supervise t f
+      if !flag then begin
+        (* Nested section: the pool is busy with the enclosing one. *)
+        Telemetry.incr c_nested_inline;
+        run_inline ~supervise t apply f
+      end
       else begin
         if not d.live then invalid_arg "Pool.run: pool was shut down";
         let retried = Atomic.make 0 in
@@ -246,7 +260,7 @@ let run ?(supervise = false) t f =
         in
         if Telemetry.enabled () then
           Telemetry.observe h_section (seconds_since section_start);
-        note_retries retried;
+        note_retries (Atomic.get retried);
         match
           List.sort (fun (a, _, _) (b, _, _) -> compare a b) failures
         with

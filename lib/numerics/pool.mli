@@ -86,15 +86,20 @@ val runs_inline : t -> bool
     for the sequential pool and inside a share of another section (the
     nesting rule above). *)
 
-val run_inline : ?supervise:bool -> t -> (int -> unit) -> unit
-(** [run_inline t f] executes [f 0 .. f (size t - 1)] one after
+val run_inline : ?supervise:bool -> t -> ('a -> int -> unit) -> 'a -> unit
+(** [run_inline t f x] executes [f x 0 .. f x (size t - 1)] one after
     another on the calling domain, as {!run} does on the sequential
     pool or inside another section, with the same supervision and
     exception rules: every supervised share consults [pool.crash]
-    once, so a caller that runs a section inline because it is too
-    small to repay a fork-join keeps the fault plan's consultation
-    count of a dispatched section.  Adds a fixed few words of its own
-    to whatever the shares allocate. *)
+    once, and a crashed share re-runs in place, so a caller that runs
+    a section inline because it is too small to repay a fork-join
+    keeps the fault plan's consultation count of a dispatched section.
+    The share's data comes as the argument [x], so a caller that
+    passes a closed function allocates nothing per section: an
+    undisturbed section, supervised or not, allocates no words and
+    performs no atomic read-modify-write (a retried one records the
+    same note as {!run}).  A direct call is the caller's choice, not a
+    nested {!run}, and does not count in ["pool.nested_inline"]. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f xs] maps [f] over [xs] with dynamic load balancing

@@ -239,6 +239,28 @@ let get t i j =
    with [row_ptr.(rows) = nnz], and every [col_idx] entry lies in
    [0, cols). *)
 
+(* Row [i] of [t x]: its terms summed in CSR order from [+0.].  Inlined
+   into each kernel below, so the sum never leaves a register. *)
+let[@inline] row_dot row_ptr (col_idx : index_array) (values : value_array)
+    (x : float array) i =
+  let k0 = Array.unsafe_get row_ptr i
+  and k1 = Array.unsafe_get row_ptr (i + 1) in
+  let acc = ref 0. in
+  for k = k0 to k1 - 1 do
+    acc :=
+      !acc
+      +. Bigarray.Array1.unsafe_get values k
+         *. Array.unsafe_get x
+              (Int32.to_int (Bigarray.Array1.unsafe_get col_idx k))
+  done;
+  !acc
+
+let check_rows where t (x : float array) ~(dst : float array) ~lo ~hi =
+  if lo < 0 || hi > t.rows || lo > hi then invalid_arg (where ^ ": row range");
+  if Array.length x <> t.cols then invalid_arg (where ^ ": dimensions");
+  if Array.length dst <> t.rows then
+    invalid_arg (where ^ ": destination dimension")
+
 (* [dst.(i) <- (t x).(i)] for [i] in [lo, hi) only.  The gather form of
    the product: each output entry is owned by exactly one row, and its
    terms are summed in CSR order, so covering any subset of [0, rows)
@@ -249,25 +271,35 @@ let get t i j =
    [float array] src and dst), so the loop boxes nothing and allocates
    no words whatever the build's inlining settings. *)
 let matvec_rows t (x : float array) ~(dst : float array) ~lo ~hi =
-  if lo < 0 || hi > t.rows || lo > hi then
-    invalid_arg "Sparse.matvec_rows: row range";
-  if Array.length x <> t.cols then invalid_arg "Sparse.matvec_rows: dimensions";
-  if Array.length dst <> t.rows then
-    invalid_arg "Sparse.matvec_rows: destination dimension";
+  check_rows "Sparse.matvec_rows" t x ~dst ~lo ~hi;
   let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
   for i = lo to hi - 1 do
-    let k0 = Array.unsafe_get row_ptr i
-    and k1 = Array.unsafe_get row_ptr (i + 1) in
-    let acc = ref 0. in
-    for k = k0 to k1 - 1 do
-      acc :=
-        !acc
-        +. Bigarray.Array1.unsafe_get values k
-           *. Array.unsafe_get x
-                (Int32.to_int (Bigarray.Array1.unsafe_get col_idx k))
-    done;
-    Array.unsafe_set dst i !acc
+    Array.unsafe_set dst i (row_dot row_ptr col_idx values x i)
   done
+
+(* [matvec_rows] that also sums the magnitudes it writes, tile by tile,
+   each ascending from [+0.], in the same pass: the inline product of
+   the uniformisation sweep, whose pruner and mass guard read the
+   sums instead of scanning the iterate again. *)
+let matvec_tiles t (x : float array) ~(dst : float array)
+    ~(sums : float array) ~at ~tile ~lo ~hi =
+  check_rows "Sparse.matvec_tiles" t x ~dst ~lo ~hi;
+  if tile < 1 then invalid_arg "Sparse.matvec_tiles: need tile >= 1";
+  let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
+  let j = ref at and r = ref lo in
+  while !r < hi do
+    let e = if hi - !r > tile then !r + tile else hi in
+    let s = ref 0. in
+    for i = !r to e - 1 do
+      let y = row_dot row_ptr col_idx values x i in
+      Array.unsafe_set dst i y;
+      s := !s +. Float.abs y
+    done;
+    sums.(!j) <- !s;
+    incr j;
+    r := e
+  done;
+  !j
 
 let matvec t x =
   if Array.length x <> t.cols then invalid_arg "Sparse.matvec: dimensions";

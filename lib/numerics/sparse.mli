@@ -83,6 +83,25 @@ val matvec_rows : t -> float array -> dst:float array -> lo:int -> hi:int -> uni
     and int32 indices and allocates nothing.  Dimensions and the range
     are checked once per call; the inner loop is unchecked. *)
 
+val matvec_tiles :
+  t ->
+  float array ->
+  dst:float array ->
+  sums:float array ->
+  at:int ->
+  tile:int ->
+  lo:int ->
+  hi:int ->
+  int
+(** [matvec_tiles a x ~dst ~sums ~at ~tile ~lo ~hi] is
+    [matvec_rows a x ~dst ~lo ~hi], bitwise, and in the same pass sums
+    the magnitudes it writes, tile by tile: [\[lo, hi)] splits into
+    consecutive tiles of [tile] rows from [lo] (the last may be
+    shorter), and the ascending sum from [+0.] of [|dst.(i)|] over the
+    [j]-th of them goes to [sums.(at + j)].  Returns [at] plus the
+    number of tiles.  Allocates nothing.  Raises [Invalid_argument] as
+    {!matvec_rows} does, when [tile < 1], or when [sums] is too short. *)
+
 val vecmat : float array -> t -> float array
 (** [vecmat x a = x^T A]. *)
 

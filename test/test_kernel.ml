@@ -240,11 +240,13 @@ let prop_readout_over_live_support =
       && List.length lows >= 2)
 
 (* A warm sweep with caller-supplied buffers, kernel and windows
-   allocates a fixed number of minor-heap words per product, whatever
-   the state count and the number of measures: the segment sets live
-   in flat buffers made once per sweep, and each measure's value goes
-   straight into its series.  Two chains of different size must read
-   the same small figure, and the 22 functionals of a two-well
+   allocates no words per product, whatever the state count and the
+   number of measures: the segment sets live in flat buffers made once
+   per sweep, the product's floats in unboxed fields, and each
+   measure's value goes straight into its series.  What a sweep
+   allocates is its set-up, so spread over 900 products it must stay
+   under 8 words per product; two chains of different size must read
+   about the same figure, and the 22 functionals of a two-well
    dashboard refresh must cost at most 2 words per product more than
    one sum. *)
 let words_per_product
@@ -308,13 +310,13 @@ let test_product_allocation_fixed () =
     words_per_product ~measures:dashboard_measures (fig2_model ()) ~delta:300.
   in
   check_true
-    (Printf.sprintf "fig-7 (146 states): %.1f minor words per product <= 64"
+    (Printf.sprintf "fig-7 (146 states): %.1f minor words per product <= 8"
        small)
-    (small <= 64.);
+    (small <= 8.);
   check_true
-    (Printf.sprintf "two-well (320 states): %.1f minor words per product <= 64"
+    (Printf.sprintf "two-well (320 states): %.1f minor words per product <= 8"
        twowell)
-    (twowell <= 64.);
+    (twowell <= 8.);
   check_true
     (Printf.sprintf
        "words per product independent of the state count (%.1f vs %.1f)" small
@@ -403,9 +405,229 @@ let test_adaptive_resume_bitwise () =
     resumed.Lifetime.iterations;
   Sys.remove path
 
+(* Golden bits of adaptive sweeps, recorded before the per-product
+   bookkeeping was rewritten (per-tile sums, guard mass from the kept
+   tiles, interval dilation, counters published once per sweep): the
+   absorbed-mass series at four steps, in hex, and every work and
+   support statistic.  Any later kernel change must reproduce them or
+   say which answer it moves.  The chains: a zipf-mix service chain
+   (38 states), the two-well dashboard chain (320 states), fig-2 at
+   Delta=100 and 1 Hz (pruning drops nonzero tiles and the sweep stops
+   early at step 55,474) and a 1e-9 support threshold that prunes
+   hard. *)
+let golden_fingerprint ?(opts = Solver_opts.default) model ~delta ~times =
+  let d = Discretized.build ~delta model in
+  let g = d.Discretized.generator and alpha = d.Discretized.alpha in
+  let absorbed =
+    Transient.Sum
+      { lo = 0; hi = Grid.absorbing_block_size d.Discretized.grid; stride = 1 }
+  in
+  let q = Transient.resolve_rate ~opts g in
+  let windows =
+    Array.map
+      (fun t -> Poisson.weights ~accuracy:opts.Solver_opts.accuracy (q *. t))
+      times
+  in
+  let series, s =
+    Transient.multi_measure_series ~opts g ~alpha ~times ~windows
+      ~measures:[| absorbed |]
+  in
+  let row = series.(0) in
+  let last = Array.length row - 1 in
+  let at i = Printf.sprintf "%d:%h" i row.(i) in
+  Printf.sprintf
+    "states %d, iterations %d, converged_at %s, skipped %h, touched %d, rows \
+     %d, support [%d, %d), series %s"
+    (Discretized.n_states d) s.Transient.iterations
+    (match s.Transient.converged_at with
+    | Some m -> string_of_int m
+    | None -> "none")
+    s.Transient.skipped_mass s.Transient.touched_nnz s.Transient.active_rows
+    s.Transient.support_lo s.Transient.support_hi
+    (String.concat " "
+       (List.map at [ last / 4; last / 2; 3 * last / 4; last ]))
+
+let two_well ~frequency =
+  onoff_model ~frequency ~capacity:7200. ~c:0.625 ~k:4.5e-5
+
+let golden_sweeps =
+  [
+    ( "zipf-mix 38 states",
+      (fun () ->
+        golden_fingerprint
+          (onoff_model ~frequency:0.1 ~capacity:5400. ~c:1. ~k:0.)
+          ~delta:300. ~times:[| 5000.; 10000.; 15000.; 25000. |]),
+      "states 38, iterations 5710, converged_at none, skipped \
+       0x1.9ec55d0b8362ap-51, touched 524872, rows 216788, support [0, 32), \
+       series 1427:0x1.d058631e0c729p-5 2855:0x1.c4f2a262942dep-1 \
+       4282:0x1.ff98234b49bedp-1 5710:0x1.ffffdbe606df8p-1" );
+    ( "two-well 320 states",
+      (fun () ->
+        golden_fingerprint (two_well ~frequency:0.1) ~delta:300.
+          ~times:[| 4000.; 10000.; 16000.; 18000. |]),
+      "states 320, iterations 4200, converged_at none, skipped \
+       0x1.189cafa502bbdp-46, touched 3802714, rows 1339800, support [0, \
+       304), series 1050:0x1.e4cfc63198f56p-7 2100:0x1.d9a4660d2b0d2p-2 \
+       3150:0x1.d6c46c1bb66d9p-1 4200:0x1.fdf9e3648620ap-1" );
+    ( "fig-2 two-well, Delta=100, 1 Hz",
+      (fun () ->
+        golden_fingerprint (two_well ~frequency:1.) ~delta:100.
+          ~times:(Array.init 51 (fun i -> 5000. +. (500. *. float_of_int i)))),
+      "states 2576, iterations 55474, converged_at 55474, skipped \
+       0x1.1568305fe178fp-43, touched 271860458, rows 88159704, support [0, \
+       640), series 15848:0x1.8c2025d82c21p-7 31696:0x1.f16c89cbcfdc1p-1 \
+       47544:0x1.fffffa1f23fc8p-1 63393:0x1.ffffffffacdap-1" );
+    ( "support threshold 1e-9",
+      (fun () ->
+        golden_fingerprint
+          ~opts:(Solver_opts.make ~support_threshold:1e-9 ())
+          (two_well ~frequency:0.025) ~delta:300.
+          ~times:[| 4000.; 10000.; 16000.; 18000. |]),
+      "states 320, iterations 1232, converged_at none, skipped \
+       0x1.3533f28eba752p-23, touched 1042056, rows 363952, support [0, \
+       200), series 308:0x1.e3365fa97a286p-6 616:0x1.32dd2ec31f988p-1 \
+       924:0x1.ee28bfb9b5a29p-1 1232:0x1.ff8ded09f9168p-1" );
+  ]
+
+let test_golden_sweeps () =
+  List.iter
+    (fun (name, sweep, expected) ->
+      Alcotest.(check string) name expected (sweep ()))
+    golden_sweeps
+
+(* The transient work counters on the interrupt path.  A budget of 40
+   products stops a fig-7 sweep before its 41st product; the counters
+   must advance by exactly the work done by then, which is the full
+   sweep's work minus that of the sweep resumed from the interrupt's
+   snapshot. *)
+let test_interrupted_sweep_counters () =
+  let d = Discretized.build ~delta:100. (fig7_model ()) in
+  let g = d.Discretized.generator and alpha = d.Discretized.alpha in
+  let times = [| 8000. |]
+  and measures = [| total_mass (Discretized.n_states d) |] in
+  let counters =
+    List.map Telemetry.counter
+      [ "transient.products"; "transient.touched_nnz"; "transient.active_rows" ]
+  in
+  let read () = List.map Telemetry.value counters in
+  let _, full = Transient.multi_measure_sweep g ~alpha ~times ~measures in
+  let snapshot = ref None in
+  let before = read () in
+  check_raises_diag "40 products exhaust the budget" is_budget (fun () ->
+      Budget.with_ambient
+        (Budget.create ~max_products:40 ())
+        (fun () ->
+          ignore
+            (Transient.multi_measure_sweep
+               ~progress:
+                 (Progress.make ~on_interrupt:(fun s -> snapshot := Some s) ())
+               g ~alpha ~times ~measures)));
+  let moved = List.map2 ( - ) (read ()) before in
+  let resume =
+    match !snapshot with
+    | Some s -> s
+    | None -> Alcotest.fail "the interrupt flushed no snapshot"
+  in
+  check_int "interrupted after 40 products" 40 resume.Transient.sp_step;
+  let _, rest =
+    Transient.multi_measure_sweep ~progress:(Progress.make ~resume ()) g
+      ~alpha ~times ~measures
+  in
+  check_int "the resumed sweep ends where the full one does"
+    full.Transient.iterations rest.Transient.iterations;
+  check_true "the first 40 products did some work"
+    (full.Transient.touched_nnz > rest.Transient.touched_nnz);
+  Alcotest.(check (list int))
+    "products, touched nnz and active rows of the first 40 products"
+    [
+      40;
+      full.Transient.touched_nnz - rest.Transient.touched_nnz;
+      full.Transient.active_rows - rest.Transient.active_rows;
+    ]
+    moved
+
+(* The pruner decides from a tile's magnitude sum and rescans the tile
+   only when the sum is at most 2 len tau.  Against the exact max test
+   it replaced — a running max whose branch lets a NaN through unless
+   it is last, and the ascending sum for the cap — on random tiles of
+   1 to 64 entries, with entries at, just past and below tau, signed
+   zeros, subnormals, NaN and infinities, and thresholds of 0, 1e-300,
+   the smallest subnormal, a negative value, NaN and infinity. *)
+let exact_max_decision tile ~tau ~skipped ~cap =
+  let mx = ref 0. and sm = ref 0. in
+  Array.iter
+    (fun x ->
+      let ax = Float.abs x in
+      if not (ax <= !mx) then mx := ax;
+      sm := !sm +. ax)
+    tile;
+  !mx <= tau && skipped +. !sm <= cap
+
+let prune_case =
+  let open QCheck.Gen in
+  let* tau =
+    frequency
+      [
+        (1, return 0.);
+        (1, return 1e-300);
+        (1, return 5e-324);
+        (1, return (-1e-9));
+        (1, return Float.nan);
+        (1, return Float.infinity);
+        (4, float_range 1e-15 1e-3);
+      ]
+  in
+  let entry =
+    frequency
+      [
+        (8, map (fun u -> u *. tau) (float_range 0. 1.));
+        (3, return tau);
+        (1, return (-.tau));
+        (1, return (Float.succ tau));
+        (1, return (Float.pred tau));
+        (2, return 0.);
+        (2, return (-0.));
+        (1, oneofl [ 5e-324; Float.min_float /. 3.; -.Float.min_float ]);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
+        (1, float_range (-1.) 1.);
+      ]
+  in
+  let* len = frequency [ (1, return 1); (1, return 64); (4, int_range 1 64) ] in
+  let* tile = array_repeat len entry in
+  let* skipped = oneofl [ 0.; 1e-12; 5e-324 ] in
+  let+ cap =
+    frequency
+      [
+        (4, return Float.infinity);
+        (1, return 0.);
+        (1, return skipped);
+        ( 2,
+          map
+            (fun u -> skipped +. (u *. 64. *. Float.abs tau))
+            (float_range 0. 1.) );
+      ]
+  in
+  (tau, tile, skipped, cap)
+
+let prop_prune_decision_exact =
+  qcheck ~count:2000 "the sum-filtered prune decision is the exact max test"
+    (QCheck.make
+       ~print:(fun (tau, tile, skipped, cap) ->
+         Printf.sprintf "tau %h, skipped %h, cap %h, tile [%s]" tau skipped cap
+           (String.concat "; "
+              (Array.to_list (Array.map (Printf.sprintf "%h") tile))))
+       prune_case)
+    (fun (tau, tile, skipped, cap) ->
+      Transient.prune_decision tile ~tau ~skipped ~cap
+      = exact_max_decision tile ~tau ~skipped ~cap)
+
 let suite =
   [
     prop_adaptive_matches_oracle;
+    prop_prune_decision_exact;
+    case "golden bits of adaptive sweeps" test_golden_sweeps;
+    case "work counters advance on the interrupt path"
+      test_interrupted_sweep_counters;
     case "threshold 0 is bitwise exact at jobs 1/2/4"
       test_threshold_zero_bitwise;
     case "adaptive stats: less work, sane window, budgeted skip"
