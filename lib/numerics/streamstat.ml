@@ -29,7 +29,13 @@ module Hist = struct
       (* Smallest n with lo * r^n >= hi, so bounds cover [lo, hi]. *)
       int_of_float (Float.ceil (Float.log10 (hi /. lo) *. float_of_int per_decade))
     in
-    let bounds = Array.init (n + 1) (fun i -> lo *. Float.pow ratio (float_of_int i)) in
+    (* The last bound is hi itself: lo * r^n from Float.pow can round
+       below it (999.99999999998488 at the default hi), which would
+       send a sample at hi to the overflow bucket. *)
+    let bounds =
+      Array.init (n + 1) (fun i ->
+          if i = n then hi else lo *. Float.pow ratio (float_of_int i))
+    in
     {
       lo;
       ratio;

@@ -19,7 +19,8 @@
 (** {1 Log-bucketed histograms}
 
     Bucket upper bounds form a geometric series [lo·r^i] with ratio
-    [r = 10^(1/per_decade)], covering [[lo, hi]]; one underflow-merged
+    [r = 10^(1/per_decade)], the last of them [hi] itself, covering
+    [[lo, hi]] (a sample at [hi] is in range); one underflow-merged
     first bucket and one overflow bucket close the ends.  A quantile is
     reported as the geometric midpoint of the bucket holding the
     target rank, so for any sample population whose values lie inside

@@ -189,27 +189,33 @@ let test_histogram_bucket_edges () =
   with_telemetry @@ fun () ->
   let h = Telemetry.histogram ~lo:1. ~hi:100. "test.hist.edges" in
   (* Log buckets from lo = 1 to hi = 100: values at or below lo share
-     the first bucket, values past the last bound overflow, and NaN is
-     not counted. *)
-  List.iter (Telemetry.observe h) [ 0.25; 1.0; 5.; 1000.; Float.nan ];
+     the first bucket, a value at hi lands in the last one, values past
+     it overflow, and NaN is not counted. *)
+  List.iter (Telemetry.observe h) [ 0.25; 1.0; 5.; 100.; 1000.; Float.nan ];
   let hs = find_hist "test.hist.edges" in
   let bounds = hs.Telemetry.hs_bounds and counts = hs.Telemetry.hs_counts in
   let nb = Array.length bounds in
   check_int "one count per bound plus the overflow" (nb + 1)
     (Array.length counts);
   check_float ~eps:0. "the first bound is lo" 1. bounds.(0);
-  check_float ~eps:1e-9 "the last bound is hi" 100. bounds.(nb - 1);
+  check_float ~eps:0. "the last bound is hi" 100. bounds.(nb - 1);
   for i = 1 to nb - 1 do
     check_true "the bounds strictly increase" (bounds.(i - 1) < bounds.(i))
   done;
   check_int "values <= lo share the first bucket" 2 counts.(0);
+  check_int "a value at hi is in the last bucket" 1 counts.(nb - 1);
   check_int "past the last bound overflows" 1 counts.(nb);
   let i = ref 1 in
   while bounds.(!i) < 5. do incr i done;
   check_int "an in-range value lands in the bucket bounding it" 1 counts.(!i);
-  check_int "NaN is not counted" 4 hs.Telemetry.hs_total;
+  check_int "NaN is not counted" 5 hs.Telemetry.hs_total;
   check_int "total is the sum of the counts" hs.Telemetry.hs_total
     (Array.fold_left ( + ) 0 counts);
+  let iterations =
+    (find_hist "transient.sweep_iterations").Telemetry.hs_bounds
+  in
+  check_float ~eps:0. "the sweep-iterations histogram ends at its hi" 1e7
+    iterations.(Array.length iterations - 1);
   (* Sum and max. *)
   let h2 = Telemetry.histogram "test.hist.sum" in
   Telemetry.observe_int h2 3;
