@@ -61,8 +61,12 @@ let evict_lru t ~reason =
         | `Capacity -> c_evict_capacity
         | `Bytes -> c_evict_bytes)
 
-let find_or_build t spec =
-  let fingerprint = Model_spec.fingerprint spec in
+let find_or_build ?fingerprint t spec =
+  let fingerprint =
+    match fingerprint with
+    | Some key -> key
+    | None -> Model_spec.fingerprint spec
+  in
   match Hashtbl.find_opt t.table fingerprint with
   | Some slot ->
       slot.last_used <- tick t;

@@ -44,9 +44,13 @@ val create : capacity:int -> ?max_bytes:int -> unit -> t
     [max_bytes] (absent: unbounded) is the resident-byte budget
     enforced by {!enforce_budget}. *)
 
-val find_or_build : t -> Model_spec.t -> entry * [ `Hit | `Miss ]
+val find_or_build :
+  ?fingerprint:string -> t -> Model_spec.t -> entry * [ `Hit | `Miss ]
 (** The interned entry for the spec's fingerprint, building (and
     possibly evicting the least-recently-used entry) on a miss.
+    [fingerprint] passes [Model_spec.fingerprint spec] when the caller
+    has computed it already — the service, which groups a batch by it
+    — so a request is fingerprinted once; absent, it is computed here.
     Build failures propagate as the usual structured exceptions and
     leave the cache unchanged. *)
 

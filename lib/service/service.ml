@@ -306,7 +306,10 @@ let handle_batch ?drain t requests =
            fan-out: run it under the joined request ids so a cache-miss
            Q* build is attributed to the group that triggered it. *)
         let ctx = String.concat "+" (List.map (fun (_, rid, _) -> rid) members) in
-        match in_context ctx (fun () -> Cache.find_or_build t.cache model) with
+        match
+          in_context ctx (fun () ->
+              Cache.find_or_build ~fingerprint:key t.cache model)
+        with
         | entry, status ->
             let cache_status =
               match status with `Hit -> "hit" | `Miss -> "miss"

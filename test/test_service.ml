@@ -441,6 +441,19 @@ let test_cache_lru_capacity_one () =
   check_true "evicted entry misses again" (status = `Miss);
   check_int "three misses" 3 (counter "session.cache_miss" - miss0)
 
+(* The service fingerprints a request once, to group its batch, and
+   hands that key to the cache: an entry interned under the passed key
+   keeps it and is found again by the spec alone. *)
+let test_cache_passed_fingerprint () =
+  let c = Cache.create ~capacity:2 () in
+  let spec = spec_freq 1.0 in
+  let key = Model_spec.fingerprint spec in
+  let entry, status = Cache.find_or_build ~fingerprint:key c spec in
+  check_true "the first lookup misses" (status = `Miss);
+  Alcotest.(check string) "the entry keeps the key" key entry.Cache.fingerprint;
+  let _, again = Cache.find_or_build c spec in
+  check_true "the spec alone finds it" (again = `Hit)
+
 (* LRU at capacity 2: touching an entry protects it; the least
    recently used one goes. *)
 let test_cache_lru_capacity_two () =
@@ -621,6 +634,7 @@ let suite =
       test_overloaded_frame;
     case "cache: LRU at capacity 1" test_cache_lru_capacity_one;
     case "cache: LRU at capacity 2 honours recency" test_cache_lru_capacity_two;
+    case "cache: a passed fingerprint is the key" test_cache_passed_fingerprint;
     case "cache: byte budget evicts LRU within budget" test_cache_byte_budget;
     case "cache: over-budget session admitted, used, then evicted"
       test_cache_over_budget_session;
