@@ -352,8 +352,8 @@ type work = {
   mutable rows : int;
 }
 
-(* The tile grid: coarse enough that the per-tile max/sum scan
-   amortises, fine enough to hug a travelling front.  Derived from the
+(* The tile grid: coarse enough that the per-tile sums and decisions
+   amortise, fine enough to hug a travelling front.  Derived from the
    state count alone so every consumer (dilation alignment, pruning,
    support recovery on resume) agrees on the grid. *)
 let tile_width n = Int.max 8 (Int.min 64 (n / 1024))
