@@ -115,7 +115,17 @@ let expect t (xs : float array) =
   done;
   !acc
 
-let total t = Array.fold_left ( +. ) 0. t.weights
+(* Left to right from [0.], as [Array.fold_left ( +. )] adds, but with
+   the sum in a register: the fold boxed every partial sum, about two
+   words per weight, once per window of every sweep's a-posteriori
+   check. *)
+let total t =
+  let ws = t.weights in
+  let acc = ref 0. in
+  for i = 0 to Array.length ws - 1 do
+    acc := !acc +. Array.unsafe_get ws i
+  done;
+  !acc
 
 let cdf_complement t n =
   fold t ~init:0. ~f:(fun acc m w -> if m > n then acc +. w else acc)
