@@ -766,10 +766,9 @@ let step_window k w ~adaptive =
    if every |x_i| <= tau, the rounded ascending sum of [len <= 64] of
    them is at most [len tau (1 + 2^-53)^len < 2 len tau], so a larger
    [s] proves an entry above [tau]; a NaN entry makes [s] NaN, which
-   fails both this test and the cap test (and failed the cap test of
-   the max scan this replaces); a negative or NaN [tau] keeps every
-   tile, as [max <= tau] did.  [s] is the same ascending sum the cap
-   test always read.
+   fails both this test and the cap test, so its tile stays whatever
+   its other entries are; a negative or NaN [tau] keeps every tile,
+   as [max <= tau] does.  The cap test reads the same [s].
 
    All-zero tiles always qualify at zero cost, so the support never
    retains a tile without a nonzero (the property resume relies on).

@@ -115,10 +115,9 @@ let expect t (xs : float array) =
   done;
   !acc
 
-(* Left to right from [0.], as [Array.fold_left ( +. )] adds, but with
-   the sum in a register: the fold boxed every partial sum, about two
-   words per weight, once per window of every sweep's a-posteriori
-   check. *)
+(* Left to right from [0.], the order [Array.fold_left ( +. )] adds in,
+   but with the sum in a register: the fold would box every partial
+   sum, and every sweep's a-posteriori check totals each window. *)
 let total t =
   let ws = t.weights in
   let acc = ref 0. in
