@@ -144,12 +144,41 @@ let test_matvec_rows_range () =
   check_raises_invalid "bad range" (fun () ->
       Sparse.matvec_rows m [| 1.; 1. |] ~dst ~lo:0 ~hi:4);
   check_raises_invalid "wrong x length" (fun () ->
-      Sparse.matvec_rows m [| 1. |] ~dst ~lo:0 ~hi:3)
+      Sparse.matvec_rows m [| 1. |] ~dst ~lo:0 ~hi:3);
+  (* matvec_tiles writes the same rows and sums their magnitudes per
+     tile of the range, into the sums from [at] on. *)
+  let m =
+    build_matrix
+      [ (0, 0, 1.); (1, 0, -2.); (2, 1, 3.); (3, 1, 0.5) ]
+      ~rows:4 ~cols:2
+  in
+  let dst = Array.make 4 (-1.) and sums = Array.make 3 (-1.) in
+  let next =
+    Sparse.matvec_tiles m [| 10.; 100. |] ~dst ~sums ~at:1 ~tile:2 ~lo:1
+      ~hi:4
+  in
+  check_int "returns at plus the tile count" 3 next;
+  check_float "row before the range untouched" (-1.) dst.(0);
+  check_float "rows written" (-20.) dst.(1);
+  check_float "rows written" 300. dst.(2);
+  check_float "rows written" 50. dst.(3);
+  check_float "sum before at untouched" (-1.) sums.(0);
+  check_float "first tile's magnitude" 320. sums.(1);
+  check_float "short last tile's magnitude" 50. sums.(2);
+  check_raises_invalid "tile < 1" (fun () ->
+      ignore
+        (Sparse.matvec_tiles m [| 1.; 1. |] ~dst ~sums ~at:0 ~tile:0 ~lo:0
+           ~hi:4));
+  check_raises_invalid "sums too short" (fun () ->
+      ignore
+        (Sparse.matvec_tiles m [| 1.; 1. |] ~dst ~sums ~at:2 ~tile:1 ~lo:0
+           ~hi:4))
 
 (* The gather is the inner loop of every sweep.  Each load and store
    must compile to an unboxed primitive, so a call allocates nothing:
    a boxed load or store would cost words per nonzero.  The slack
-   covers the probe's own boxed float. *)
+   covers the probe's own boxed float.  The same holds for the gather
+   that sums its tiles' magnitudes. *)
 let test_matvec_rows_allocates_nothing () =
   let n = 320 in
   let m =
@@ -168,7 +197,16 @@ let test_matvec_rows_allocates_nothing () =
   done;
   let words = Gc.minor_words () -. before in
   if words > 8. then
-    Alcotest.failf "%d matvec_rows calls allocated %.0f minor words" calls words
+    Alcotest.failf "%d matvec_rows calls allocated %.0f minor words" calls words;
+  let sums = Array.make n 0. in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sparse.matvec_tiles m src ~dst ~sums ~at:0 ~tile:8 ~lo:0 ~hi:n)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 8. then
+    Alcotest.failf "%d matvec_tiles calls allocated %.0f minor words" calls
+      words
 
 (* Every partition must tile [0, rows) exactly, whatever the shape. *)
 let prop_partition_tiles =
